@@ -6,9 +6,10 @@
 //! marginalizations simple stride walks). Each factor also carries its
 //! scope as a [`VarSet`] bitset so membership tests in the elimination
 //! loops are word ops, and the arithmetic loop bodies live in free
-//! `*_into` kernels writing into caller-provided buffers — the compiled
-//! plan replay calls the same kernels against arena memory, which is what
-//! makes the warm path bit-identical to these methods by construction.
+//! `*_into` loops writing into caller-provided buffers. The compiled plan
+//! replay uses a separate family, the run-aware masked kernels at the end
+//! of this module, which are proven `to_bits`-equal to these methods
+//! rather than sharing their loops.
 
 use crate::varset::VarSet;
 
@@ -340,22 +341,20 @@ pub fn strides_in(vars: &[usize], cards: &[usize], result_vars: &[usize]) -> Vec
 }
 
 // ---------------------------------------------------------------------------
-// Allocation-free kernels.
+// Dense loops of the allocating algebra.
 //
-// These free functions hold the single implementation of each factor
-// operation's arithmetic loop. The `Factor` methods above allocate fresh
-// buffers and delegate here; the compiled plan replay in `prmsel::plan`
-// calls the same kernels with precomputed strides against arena memory.
-// Because both paths execute the identical loop bodies — same multiply
-// order, same ascending-`var` accumulation — warm replay is bit-identical
-// to the method path by construction.
+// These hold the arithmetic of the `Factor` methods above and nothing else:
+// the methods allocate fresh buffers and delegate here. They are the
+// uncached reference pipeline that the compiled replay in `prmsel::plan` is
+// checked against with `f64::to_bits`, so they deliberately share no loop
+// with the replay kernels further down.
 // ---------------------------------------------------------------------------
 
 /// `out[i] = a[·] * b[·]` over the result scope described by `cards` with
 /// per-operand strides (0 where a variable is absent from an operand).
 /// `assign` is odometer scratch of length ≥ `cards.len() - 1`; `out` must
 /// have length `Π cards (min 1)`. Every slot is overwritten.
-pub fn product_into(
+pub(crate) fn product_into(
     a: &[f64],
     b: &[f64],
     cards: &[usize],
@@ -412,7 +411,7 @@ pub fn product_into(
 /// ascending `v` order — the bit-identity invariant. `assign` is scratch
 /// of length ≥ `cards.len()`; every `out` slot is overwritten.
 #[allow(clippy::too_many_arguments)]
-pub fn product_sum_out_into(
+pub(crate) fn product_sum_out_into(
     a: &[f64],
     b: &[f64],
     cards: &[usize],
@@ -453,8 +452,8 @@ pub fn product_sum_out_into(
 /// Sums out the axis of cardinality `card` sitting between `outer` outer
 /// cells and `inner` inner cells: `out[o·inner + k] = Σ_c src[...]`, with
 /// the sum accumulated in ascending `c` order. `out` must have length
-/// `outer · inner`; it is zeroed first, so reused arena buffers are fine.
-pub fn sum_out_into(
+/// `outer · inner`; it is zeroed first.
+pub(crate) fn sum_out_into(
     src: &[f64],
     outer: usize,
     card: usize,
@@ -477,7 +476,12 @@ pub fn sum_out_into(
 /// Zeroes the runs of `data` whose code for the reduced axis (cardinality
 /// `card`, run length `inner`) is not allowed. Pure zeroing — no float
 /// arithmetic — so applying masks in any order yields identical bits.
-pub fn reduce_in_place(data: &mut [f64], card: usize, inner: usize, allowed: &[bool]) {
+pub(crate) fn reduce_in_place(
+    data: &mut [f64],
+    card: usize,
+    inner: usize,
+    allowed: &[bool],
+) {
     let mut base = 0usize;
     while base < data.len() {
         for (c, &ok) in allowed.iter().enumerate().take(card) {
@@ -490,35 +494,32 @@ pub fn reduce_in_place(data: &mut [f64], card: usize, inner: usize, allowed: &[b
     }
 }
 
-/// Copying variant of [`reduce_in_place`]: writes `src` into `out` and
-/// zeroes disallowed runs in the same pass destination.
-pub fn reduce_into(
-    src: &[f64],
-    card: usize,
-    inner: usize,
-    allowed: &[bool],
-    out: &mut [f64],
-) {
-    out.copy_from_slice(src);
-    reduce_in_place(out, card, inner, allowed);
-}
-
 // ---------------------------------------------------------------------------
-// Slice-aware masked kernels.
+// Run-aware masked kernels: the replay kernel family.
 //
-// The masked variants below compute the same result as reduce-then-dense —
-// zero the disallowed runs of each operand, then run the dense kernel — but
-// never touch a disallowed index: each masked axis walks an explicit
-// ascending allowed-code list instead of 0..card. Per-cell cost therefore
-// tracks the number of *allowed* codes (1 for an equality predicate), not
-// the domain size.
+// The three kernels below compute the same result as reduce-then-dense —
+// zero the disallowed runs of each operand, then run the dense loop — but
+// never touch a disallowed index. Each result axis is either [`DENSE`] or
+// masked by an ascending allowed-code list; an unmasked op is simply the
+// all-`DENSE` case, so plan replay and compile-time constant folding need
+// no other kernels.
+//
+// Iteration shape. An odometer walks the allowed cells of the *outer*
+// axes only. The innermost axis — widened by every trailing `DENSE` axis
+// across which each operand's strides stay contiguous — is the *span*: it
+// runs as one straight slice loop per maximal run of consecutive allowed
+// codes (a `DENSE` axis or a range predicate is one run, a gapped `IN`
+// list several). The sum kernels put the summed-variable loop outside the
+// span, so every span is a slice loop `out[t] += x · y`.
 //
 // Bit-identity with the dense pipeline holds because factor entries are
 // non-negative finite probabilities: a disallowed (zeroed) code contributes
 // exactly `0.0 × x = +0.0` to a product cell and `acc + 0.0` (bit-
 // preserving on a non-negative accumulator) to a sum — so skipping it
-// changes nothing, and `fill(0.0)` writes the same `+0.0` the dense kernel
-// would have computed for every fully-disallowed cell.
+// changes nothing, and `fill(0.0)` writes the same `+0.0` the dense loop
+// would have computed for every fully-disallowed cell. The `v`-loop
+// interchange keeps each cell's additions in ascending `v` order starting
+// from that `+0.0`, which is the dense loop's accumulator sequence.
 // ---------------------------------------------------------------------------
 
 /// Sentinel in a `masks` slot: the axis is unmasked (iterate all codes).
@@ -531,6 +532,44 @@ fn code_list(codes: &[usize], off: usize) -> &[usize] {
     &codes[off + 1..off + 1 + codes[off]]
 }
 
+/// The maximal runs `lo..hi` of consecutive allowed codes of one axis, in
+/// ascending order: `0..card` once for a [`DENSE`] axis, none for an empty
+/// allowed list.
+#[derive(Clone)]
+struct Runs<'a> {
+    /// Remaining allowed codes (masked axis).
+    list: &'a [usize],
+    /// Cardinality still to emit as one run (dense axis), else 0.
+    dense: usize,
+}
+
+#[inline]
+fn runs(card: usize, mask: usize, codes: &[usize]) -> Runs<'_> {
+    if mask == DENSE {
+        Runs { list: &[], dense: card }
+    } else {
+        Runs { list: code_list(codes, mask), dense: 0 }
+    }
+}
+
+impl Iterator for Runs<'_> {
+    type Item = (usize, usize);
+
+    #[inline]
+    fn next(&mut self) -> Option<(usize, usize)> {
+        if self.dense > 0 {
+            return Some((0, std::mem::take(&mut self.dense)));
+        }
+        let (&lo, _) = self.list.split_first()?;
+        let mut n = 1;
+        while n < self.list.len() && self.list[n] == lo + n {
+            n += 1;
+        }
+        self.list = &self.list[n..];
+        Some((lo, lo + n))
+    }
+}
+
 /// Row-major output strides of the result scope, written into `ostride`.
 #[inline]
 fn out_strides(cards: &[usize], ostride: &mut [usize]) {
@@ -541,31 +580,53 @@ fn out_strides(cards: &[usize], ostride: &mut [usize]) {
     }
 }
 
-/// Resets the odometer to the first allowed cell: zeroes `pos` and returns
-/// `Some((ia, ib, io))` initial operand/output offsets, or `None` when some
-/// mask allows no code at all (the output stays all-zero).
+/// Splits a non-empty result scope into odometer axes and the span:
+/// returns `(k, inner)` where axis `k` is the span axis and `inner` is the
+/// cell count of the trailing `DENSE` axes merged behind it. An axis joins
+/// the span only while every stream's stride (operands and output) is
+/// contiguous across it, so span element `t` sits at `t · strides[_][n-1]`
+/// in every stream.
 #[inline]
-fn first_allowed(
+fn span_of<const N: usize>(
     cards: &[usize],
-    stride_a: &[usize],
-    stride_b: &[usize],
-    ostride: &[usize],
+    strides: [&[usize]; N],
+    masks: &[usize],
+) -> (usize, usize) {
+    let mut k = cards.len() - 1;
+    let mut inner = 1usize;
+    while k > 0
+        && masks[k] == DENSE
+        && strides.iter().all(|s| s[k - 1] == s[k] * cards[k])
+    {
+        inner *= cards[k];
+        k -= 1;
+    }
+    (k, inner)
+}
+
+/// Resets the odometer over the axes `0..cards.len()` to the first allowed
+/// cell: zeroes `pos` and returns the initial offset into each of the `N`
+/// streams, or `None` when some mask allows no code at all (the output
+/// stays all-zero).
+#[inline]
+fn first_allowed<const N: usize>(
+    cards: &[usize],
+    strides: [&[usize]; N],
     masks: &[usize],
     codes: &[usize],
     pos: &mut [usize],
-) -> Option<(usize, usize, usize)> {
-    let (mut ia, mut ib, mut io) = (0usize, 0usize, 0usize);
+) -> Option<[usize; N]> {
+    let mut off = [0usize; N];
     for k in 0..cards.len() {
         pos[k] = 0;
         if masks[k] != DENSE {
-            let list = code_list(codes, masks[k]);
-            let &first = list.first()?;
-            ia += first * stride_a[k];
-            ib += first * stride_b[k];
-            io += first * ostride[k];
+            let &first = code_list(codes, masks[k]).first()?;
+            for (o, s) in off.iter_mut().zip(strides) {
+                *o += first * s[k];
+            }
         }
     }
-    Some((ia, ib, io))
+    Some(off)
 }
 
 /// Advances the allowed-cell odometer by one position. Returns `false` when
@@ -574,58 +635,113 @@ fn first_allowed(
 /// `(next_code - current_code) · stride`, so disallowed runs are skipped in
 /// one step.
 #[inline]
-#[allow(clippy::too_many_arguments)]
-fn advance_allowed(
+fn advance_allowed<const N: usize>(
     cards: &[usize],
-    stride_a: &[usize],
-    stride_b: &[usize],
-    ostride: &[usize],
+    strides: [&[usize]; N],
     masks: &[usize],
     codes: &[usize],
     pos: &mut [usize],
-    ia: &mut usize,
-    ib: &mut usize,
-    io: &mut usize,
+    off: &mut [usize; N],
 ) -> bool {
     for k in (0..cards.len()).rev() {
-        if masks[k] == DENSE {
+        let (forward, d) = if masks[k] == DENSE {
             pos[k] += 1;
-            *ia += stride_a[k];
-            *ib += stride_b[k];
-            *io += ostride[k];
             if pos[k] < cards[k] {
-                return true;
+                (true, 1)
+            } else {
+                pos[k] = 0;
+                (false, cards[k] - 1)
             }
-            pos[k] = 0;
-            *ia -= stride_a[k] * cards[k];
-            *ib -= stride_b[k] * cards[k];
-            *io -= ostride[k] * cards[k];
         } else {
             let list = code_list(codes, masks[k]);
             let cur = list[pos[k]];
             pos[k] += 1;
             if pos[k] < list.len() {
-                let d = list[pos[k]] - cur;
-                *ia += d * stride_a[k];
-                *ib += d * stride_b[k];
-                *io += d * ostride[k];
-                return true;
+                (true, list[pos[k]] - cur)
+            } else {
+                pos[k] = 0;
+                (false, cur - list[0])
             }
-            pos[k] = 0;
-            let d = cur - list[0];
-            *ia -= d * stride_a[k];
-            *ib -= d * stride_b[k];
-            *io -= d * ostride[k];
+        };
+        for (o, s) in off.iter_mut().zip(strides) {
+            if forward {
+                *o += d * s[k];
+            } else {
+                *o -= d * s[k];
+            }
+        }
+        if forward {
+            return true;
         }
     }
     false
 }
 
-/// Masked [`product_into`]: `out[·] = a[·] * b[·]` at every cell allowed by
-/// all masks; every other cell is zero. `masks[k]` is either [`DENSE`] or
-/// the offset of axis `k`'s allowed-code region in `codes`. `assign` is
-/// scratch of length ≥ `2 · cards.len()`. Bit-identical to reducing both
-/// operands and calling [`product_into`] (entries must be non-negative and
+/// Span body of the two product kernels: `put(out[t], a[ia + t·sa] *
+/// b[ib + t·sb])` for every `t`, with slice loops for the contiguous and
+/// broadcast stride pairs. `put` stores (product) or accumulates (fused
+/// sum).
+#[inline]
+#[allow(clippy::too_many_arguments)]
+fn mul_span(
+    out: &mut [f64],
+    a: &[f64],
+    ia: usize,
+    sa: usize,
+    b: &[f64],
+    ib: usize,
+    sb: usize,
+    put: impl Fn(&mut f64, f64),
+) {
+    let len = out.len();
+    match (sa, sb) {
+        (1, 1) => {
+            for (o, (&x, &y)) in
+                out.iter_mut().zip(a[ia..ia + len].iter().zip(&b[ib..ib + len]))
+            {
+                put(o, x * y);
+            }
+        }
+        (0, 1) => {
+            let x = a[ia];
+            for (o, &y) in out.iter_mut().zip(&b[ib..ib + len]) {
+                put(o, x * y);
+            }
+        }
+        (1, 0) => {
+            let y = b[ib];
+            for (o, &x) in out.iter_mut().zip(&a[ia..ia + len]) {
+                put(o, x * y);
+            }
+        }
+        _ => {
+            for (t, o) in out.iter_mut().enumerate() {
+                put(o, a[ia + t * sa] * b[ib + t * sb]);
+            }
+        }
+    }
+}
+
+/// Span body of the sum kernel: `out[t] += src[is + t·s]`.
+#[inline]
+fn add_span(out: &mut [f64], src: &[f64], is: usize, s: usize) {
+    let len = out.len();
+    if s == 1 {
+        for (o, &x) in out.iter_mut().zip(&src[is..is + len]) {
+            *o += x;
+        }
+    } else {
+        for (t, o) in out.iter_mut().enumerate() {
+            *o += src[is + t * s];
+        }
+    }
+}
+
+/// Run-aware product: `out[·] = a[·] * b[·]` at every cell allowed by all
+/// masks; every other cell is zero. `masks[k]` is either [`DENSE`] or the
+/// offset of axis `k`'s allowed-code region in `codes`. `assign` is scratch
+/// of length ≥ `2 · cards.len()`. Bit-identical to reducing both operands
+/// and running the dense product (entries must be non-negative and
 /// finite).
 #[allow(clippy::too_many_arguments)]
 pub fn product_masked_into(
@@ -647,29 +763,42 @@ pub fn product_masked_into(
     let n = cards.len();
     let (pos, ostride) = assign[..2 * n].split_at_mut(n);
     out_strides(cards, ostride);
-    let Some((mut ia, mut ib, mut io)) =
-        first_allowed(cards, stride_a, stride_b, ostride, masks, codes, pos)
-    else {
+    let strides = [stride_a, stride_b, &*ostride];
+    let (k, inner) = span_of(cards, strides, masks);
+    let (sa, sb) = (stride_a[n - 1], stride_b[n - 1]);
+    let outer = strides.map(|s| &s[..k]);
+    let Some(mut off) = first_allowed(&cards[..k], outer, &masks[..k], codes, pos) else {
         return;
     };
     loop {
-        out[io] = a[ia] * b[ib];
-        if !advance_allowed(
-            cards, stride_a, stride_b, ostride, masks, codes, pos, &mut ia, &mut ib,
-            &mut io,
-        ) {
+        let [ia, ib, io] = off;
+        for (lo, hi) in runs(cards[k], masks[k], codes) {
+            let o = io + lo * ostride[k];
+            mul_span(
+                &mut out[o..o + (hi - lo) * inner],
+                a,
+                ia + lo * stride_a[k],
+                sa,
+                b,
+                ib + lo * stride_b[k],
+                sb,
+                |o, p| *o = p,
+            );
+        }
+        if !advance_allowed(&cards[..k], outer, &masks[..k], codes, pos, &mut off) {
             return;
         }
     }
 }
 
-/// Masked [`product_sum_out_into`]: accumulates `Σ_v a · b` over the summed
+/// Run-aware fused product-sum-out: accumulates `Σ_v a · b` over the summed
 /// variable's *allowed* codes only (all of `0..card_v` when `v_mask` is
 /// [`DENSE`]), at every result cell allowed by `masks`; every other cell is
-/// zero. Accumulation stays in ascending `v` order, so skipping a
-/// disallowed code removes exactly one `acc + 0.0` — bit-identity is
-/// preserved for non-negative finite entries. `assign` is scratch of length
-/// ≥ `2 · cards.len()`.
+/// zero. `cards` / `stride_a` / `stride_b` describe the result scope and
+/// (`card_v`, `sav`, `sbv`) the summed variable. Each cell accumulates in
+/// ascending `v` order from `+0.0`, so skipping a disallowed code removes
+/// exactly one `acc + 0.0` — bit-identity is preserved for non-negative
+/// finite entries. `assign` is scratch of length ≥ `2 · cards.len()`.
 #[allow(clippy::too_many_arguments)]
 pub fn product_sum_out_masked_into(
     a: &[f64],
@@ -687,50 +816,50 @@ pub fn product_sum_out_masked_into(
     out: &mut [f64],
 ) {
     out.fill(0.0);
-    let sum_v = |ia: usize, ib: usize| -> f64 {
-        let mut acc = 0.0;
-        if v_mask == DENSE {
-            let (mut oa, mut ob) = (ia, ib);
-            for _ in 0..card_v {
-                acc += a[oa] * b[ob];
-                oa += sav;
-                ob += sbv;
-            }
-        } else {
-            for &c in code_list(codes, v_mask) {
-                acc += a[ia + c * sav] * b[ib + c * sbv];
+    let v_runs = runs(card_v, v_mask, codes);
+    if cards.is_empty() {
+        for (vlo, vhi) in v_runs {
+            for c in vlo..vhi {
+                out[0] += a[c * sav] * b[c * sbv];
             }
         }
-        acc
-    };
-    if cards.is_empty() {
-        out[0] = sum_v(0, 0);
         return;
     }
     let n = cards.len();
     let (pos, ostride) = assign[..2 * n].split_at_mut(n);
     out_strides(cards, ostride);
-    let Some((mut ia, mut ib, mut io)) =
-        first_allowed(cards, stride_a, stride_b, ostride, masks, codes, pos)
-    else {
+    let strides = [stride_a, stride_b, &*ostride];
+    let (k, inner) = span_of(cards, strides, masks);
+    let (sa, sb) = (stride_a[n - 1], stride_b[n - 1]);
+    let outer = strides.map(|s| &s[..k]);
+    let Some(mut off) = first_allowed(&cards[..k], outer, &masks[..k], codes, pos) else {
         return;
     };
     loop {
-        out[io] = sum_v(ia, ib);
-        if !advance_allowed(
-            cards, stride_a, stride_b, ostride, masks, codes, pos, &mut ia, &mut ib,
-            &mut io,
-        ) {
+        let [ia, ib, io] = off;
+        for (lo, hi) in runs(cards[k], masks[k], codes) {
+            let (a0, b0, o0) =
+                (ia + lo * stride_a[k], ib + lo * stride_b[k], io + lo * ostride[k]);
+            let span = &mut out[o0..o0 + (hi - lo) * inner];
+            for (vlo, vhi) in v_runs.clone() {
+                for c in vlo..vhi {
+                    mul_span(span, a, a0 + c * sav, sa, b, b0 + c * sbv, sb, |o, p| {
+                        *o += p
+                    });
+                }
+            }
+        }
+        if !advance_allowed(&cards[..k], outer, &masks[..k], codes, pos, &mut off) {
             return;
         }
     }
 }
 
-/// Masked [`sum_out_into`] over a general strided source: for every result
-/// cell allowed by `masks`, `out[·] = Σ_v src[·]` over the summed axis's
-/// allowed codes (`stride` maps each result axis into `src`; `sv` is the
-/// summed axis's stride). Every other cell is zero. `assign` is scratch of
-/// length ≥ `2 · cards.len()`.
+/// Run-aware sum-out over a general strided source: for every result cell
+/// allowed by `masks`, `out[·] = Σ_v src[·]` over the summed axis's allowed
+/// codes (`stride` maps each result axis into `src`; `sv` is the summed
+/// axis's stride). Every other cell is zero; accumulation order is the
+/// fused kernel's. `assign` is scratch of length ≥ `2 · cards.len()`.
 #[allow(clippy::too_many_arguments)]
 pub fn sum_out_masked_into(
     src: &[f64],
@@ -745,82 +874,37 @@ pub fn sum_out_masked_into(
     out: &mut [f64],
 ) {
     out.fill(0.0);
-    let sum_v = |is: usize| -> f64 {
-        let mut acc = 0.0;
-        if v_mask == DENSE {
-            let mut o = is;
-            for _ in 0..card_v {
-                acc += src[o];
-                o += sv;
-            }
-        } else {
-            for &c in code_list(codes, v_mask) {
-                acc += src[is + c * sv];
+    let v_runs = runs(card_v, v_mask, codes);
+    if cards.is_empty() {
+        for (vlo, vhi) in v_runs {
+            for c in vlo..vhi {
+                out[0] += src[c * sv];
             }
         }
-        acc
-    };
-    if cards.is_empty() {
-        out[0] = sum_v(0);
         return;
     }
     let n = cards.len();
     let (pos, ostride) = assign[..2 * n].split_at_mut(n);
     out_strides(cards, ostride);
-    let (mut ia, mut io) = {
-        let (mut ia, mut io) = (0usize, 0usize);
-        let mut ok = true;
-        for k in 0..n {
-            pos[k] = 0;
-            if masks[k] != DENSE {
-                let list = code_list(codes, masks[k]);
-                match list.first() {
-                    Some(&first) => {
-                        ia += first * stride[k];
-                        io += first * ostride[k];
-                    }
-                    None => ok = false,
-                }
-            }
-        }
-        if !ok {
-            return;
-        }
-        (ia, io)
+    let strides = [stride, &*ostride];
+    let (k, inner) = span_of(cards, strides, masks);
+    let s = stride[n - 1];
+    let outer = strides.map(|s| &s[..k]);
+    let Some(mut off) = first_allowed(&cards[..k], outer, &masks[..k], codes, pos) else {
+        return;
     };
     loop {
-        out[io] = sum_v(ia);
-        let mut advanced = false;
-        for k in (0..n).rev() {
-            if masks[k] == DENSE {
-                pos[k] += 1;
-                ia += stride[k];
-                io += ostride[k];
-                if pos[k] < cards[k] {
-                    advanced = true;
-                    break;
+        let [is, io] = off;
+        for (lo, hi) in runs(cards[k], masks[k], codes) {
+            let (s0, o0) = (is + lo * stride[k], io + lo * ostride[k]);
+            let span = &mut out[o0..o0 + (hi - lo) * inner];
+            for (vlo, vhi) in v_runs.clone() {
+                for c in vlo..vhi {
+                    add_span(span, src, s0 + c * sv, s);
                 }
-                pos[k] = 0;
-                ia -= stride[k] * cards[k];
-                io -= ostride[k] * cards[k];
-            } else {
-                let list = code_list(codes, masks[k]);
-                let cur = list[pos[k]];
-                pos[k] += 1;
-                if pos[k] < list.len() {
-                    let d = list[pos[k]] - cur;
-                    ia += d * stride[k];
-                    io += d * ostride[k];
-                    advanced = true;
-                    break;
-                }
-                pos[k] = 0;
-                let d = cur - list[0];
-                ia -= d * stride[k];
-                io -= d * ostride[k];
             }
         }
-        if !advanced {
+        if !advance_allowed(&cards[..k], outer, &masks[..k], codes, pos, &mut off) {
             return;
         }
     }

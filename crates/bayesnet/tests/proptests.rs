@@ -206,19 +206,36 @@ proptest! {
 
 /// A per-variable evidence mask: `None` is an unmasked ([`DENSE`]) axis;
 /// `Some(allowed)` is a bool mask over the variable's codes. The strategy
-/// covers the cases the masked kernels special-case: fully dense, an
-/// explicit all-allowed mask, a single allowed code (equality
-/// predicates), and arbitrary masks including empty ones.
+/// covers the run shapes the masked kernels walk: fully dense, one full
+/// run (an explicit all-allowed mask), no allowed code at all, one run
+/// `lo..=hi` (a range predicate; a single code when `lo == hi`), and
+/// arbitrary masks, which mostly have several runs.
 fn arb_mask(card: usize) -> impl Strategy<Value = Option<Vec<bool>>> {
     prop_oneof![
         Just(None),
         Just(Some(vec![true; card])),
-        (0..card).prop_map(move |c| {
-            let mut m = vec![false; card];
-            m[c] = true;
-            Some(m)
+        Just(Some(vec![false; card])),
+        (0..card, 0..card).prop_map(move |(x, y)| {
+            let (lo, hi) = (x.min(y), x.max(y));
+            Some((0..card).map(|c| lo <= c && c <= hi).collect())
         }),
         proptest::collection::vec(any::<bool>(), card).prop_map(Some),
+    ]
+}
+
+/// Operand scopes as variable bitmasks `(a, b)` over vars `0..4`. The
+/// fixed layouts pin the inner-stride pairs and span merges the kernels
+/// special-case — `(0,1)`; `(1,1)` with mergeable trailing axes; `(1,0)`
+/// with `b` broadcast over mergeable trailing axes; a middle axis absent
+/// from `a`, which blocks merging — and summing out var 3 leaves strided
+/// inner strides. The last arm draws any scopes.
+fn arb_layout() -> impl Strategy<Value = (u32, u32)> {
+    prop_oneof![
+        Just((0b0111u32, 0b1110u32)),
+        Just((0b1111u32, 0b1100u32)),
+        Just((0b1111u32, 0b0011u32)),
+        Just((0b1010u32, 0b1101u32)),
+        (1u32..16, 1u32..16),
     ]
 }
 
@@ -260,31 +277,45 @@ fn reduce_all(f: &Factor, masks_by_var: &[Option<Vec<bool>>]) -> Factor {
     r
 }
 
-/// Random operands `a` over vars `{0,1,2}` and `b` over `{1,2,3}` with
-/// shared cards, one mask per variable, and a summed-variable choice.
+/// Random operands `a` and `b` over an [`arb_layout`] pair of scopes with
+/// shared cards of up to 12 codes, one mask per variable (all `None` in a
+/// quarter of the cases, which checks the all-`DENSE` kernels against the
+/// plain `Factor` algebra), and a summed-variable selector.
 #[allow(clippy::type_complexity)]
 fn arb_masked_case(
-) -> impl Strategy<Value = (Vec<usize>, Factor, Factor, Vec<Option<Vec<bool>>>, usize)> {
-    proptest::collection::vec(2usize..4, 4).prop_flat_map(|cards| {
-        let len_a: usize = cards[..3].iter().product();
-        let len_b: usize = cards[1..].iter().product();
-        let (c0, c1, c2, c3) = (cards[0], cards[1], cards[2], cards[3]);
-        (
-            Just(cards),
-            proptest::collection::vec(0.0f64..10.0, len_a),
-            proptest::collection::vec(0.0f64..10.0, len_b),
-            arb_mask(c0),
-            arb_mask(c1),
-            arb_mask(c2),
-            arb_mask(c3),
-            0usize..4,
-        )
-            .prop_map(|(cards, da, db, m0, m1, m2, m3, v)| {
-                let a = Factor::new(vec![0, 1, 2], cards[..3].to_vec(), da);
-                let b = Factor::new(vec![1, 2, 3], cards[1..].to_vec(), db);
-                (cards, a, b, vec![m0, m1, m2, m3], v)
-            })
-    })
+) -> impl Strategy<Value = (Factor, Factor, Vec<Option<Vec<bool>>>, usize)> {
+    (proptest::collection::vec(1usize..13, 4), arb_layout(), 0u32..4).prop_flat_map(
+        |(cards, (la, lb), dense)| {
+            let scope = |bits: u32| -> Vec<usize> {
+                (0..4).filter(|i| bits >> i & 1 == 1).collect()
+            };
+            let (va, vb) = (scope(la), scope(lb));
+            let len = |vars: &[usize]| vars.iter().map(|&v| cards[v]).product::<usize>();
+            let (len_a, len_b) = (len(&va), len(&vb));
+            let (c0, c1, c2, c3) = (cards[0], cards[1], cards[2], cards[3]);
+            (
+                Just((cards, va, vb, dense == 0)),
+                proptest::collection::vec(0.0f64..10.0, len_a),
+                proptest::collection::vec(0.0f64..10.0, len_b),
+                arb_mask(c0),
+                arb_mask(c1),
+                arb_mask(c2),
+                arb_mask(c3),
+                0usize..4,
+            )
+                .prop_map(
+                    |((cards, va, vb, dense), da, db, m0, m1, m2, m3, v)| {
+                        let card_of =
+                            |vars: &[usize]| vars.iter().map(|&v| cards[v]).collect();
+                        let a = Factor::new(va.clone(), card_of(&va), da);
+                        let b = Factor::new(vb.clone(), card_of(&vb), db);
+                        let masks =
+                            if dense { vec![None; 4] } else { vec![m0, m1, m2, m3] };
+                        (a, b, masks, v)
+                    },
+                )
+        },
+    )
 }
 
 // The masked kernels must be `f64::to_bits`-identical to reducing the
@@ -296,7 +327,7 @@ proptest! {
 
     #[test]
     fn product_masked_matches_reduce_then_dense(
-        (_, a, b, masks, _) in arb_masked_case()
+        (a, b, masks, _) in arb_masked_case()
     ) {
         let want = reduce_all(&a, &masks).product(&reduce_all(&b, &masks));
         let (uvars, ucards) = union_scope(&a, &b);
@@ -316,10 +347,13 @@ proptest! {
 
     #[test]
     fn product_sum_out_masked_matches_reduce_then_dense(
-        (cards, a, b, masks, v) in arb_masked_case()
+        (a, b, masks, v0) in arb_masked_case()
     ) {
-        let want = reduce_all(&a, &masks).product(&reduce_all(&b, &masks)).sum_out(v);
-        let (uvars, _) = union_scope(&a, &b);
+        let (uvars, ucards) = union_scope(&a, &b);
+        let (v, card_v) = (uvars[v0 % uvars.len()], ucards[v0 % uvars.len()]);
+        let (ra, rb) = (reduce_all(&a, &masks), reduce_all(&b, &masks));
+        let want = ra.product(&rb).sum_out(v);
+        let fused = ra.product_sum_out(&rb, v);
         let rvars: Vec<usize> = uvars.iter().copied().filter(|&u| u != v).collect();
         let rcards: Vec<usize> = want.cards().to_vec();
         let sa = strides_in(a.vars(), a.cards(), &rvars);
@@ -335,7 +369,6 @@ proptest! {
             codes.extend_from_slice(&vcodes);
             at
         };
-        let card_v = cards[v];
         let sav = strides_in(a.vars(), a.cards(), &[v])[0];
         let sbv = strides_in(b.vars(), b.cards(), &[v])[0];
         let mut assign = vec![0usize; 2 * rcards.len().max(1)];
@@ -345,14 +378,15 @@ proptest! {
             v_mask, &mut assign, &mut out,
         );
         prop_assert_eq!(want.data().len(), out.len());
-        for (w, g) in want.data().iter().zip(&out) {
+        for ((w, f), g) in want.data().iter().zip(fused.data()).zip(&out) {
             prop_assert_eq!(w.to_bits(), g.to_bits());
+            prop_assert_eq!(f.to_bits(), g.to_bits());
         }
     }
 
     #[test]
     fn sum_out_masked_matches_reduce_then_dense(
-        (_, a, _, masks, v0) in arb_masked_case()
+        (a, _, masks, v0) in arb_masked_case()
     ) {
         let v = a.vars()[v0 % a.vars().len()];
         let want = reduce_all(&a, &masks).sum_out(v);

@@ -280,12 +280,22 @@ fn main() -> reldb::Result<()> {
         "queries/s",
         &throughput_rows,
     );
-    let gate_of =
-        |rows: &[FigRow]| rows.iter().find(|r| r.method == "census-eq").map(|r| r.y);
+    let gate_of = |rows: &[FigRow], suite: &str| {
+        rows.iter().find(|r| r.method == suite).map(|r| r.y)
+    };
     let gates = [
-        ("warm ns per query class", gate_of(&warm_ns_rows)),
-        ("miss ns per query class", gate_of(&miss_ns_rows)),
-        ("first-touch ns per query class", gate_of(&first_ns_rows)),
+        ("warm ns per query class", "census-eq", gate_of(&warm_ns_rows, "census-eq")),
+        ("miss ns per query class", "census-eq", gate_of(&miss_ns_rows, "census-eq")),
+        (
+            "first-touch ns per query class",
+            "census-eq",
+            gate_of(&first_ns_rows, "census-eq"),
+        ),
+        (
+            "miss ns per query class",
+            "census-range",
+            gate_of(&miss_ns_rows, "census-range"),
+        ),
     ];
     emit_bench_json(
         &opts,
@@ -302,28 +312,30 @@ fn main() -> reldb::Result<()> {
     );
 
     // `--gate <baseline.json>`: fail when the census-eq warm, memo-miss,
-    // or first-touch mean regresses more than 25% against the checked-in
-    // baseline. Caveat: the baseline is recorded in full mode while CI
-    // gates with `--quick` (smaller database and suite). All three means
-    // are structurally dominated the same way in both modes — warm by
+    // or first-touch mean, or the census-range memo-miss mean (run-aware
+    // replay over long range spans), regresses more than 25% against the
+    // checked-in baseline. Caveat: the baseline is recorded in full mode
+    // while CI gates with `--quick` (smaller database and suite). Each
+    // mean is structurally dominated the same way in both modes — warm by
     // decode + memo lookup, miss by the masked replay, first-touch by
     // plan compilation — and the quick run's smaller domains keep each
-    // below its full-mode baseline, so the gate catches structural
-    // regressions (hits becoming replays, masked kernels going dense,
-    // compile blow-ups), not percent-level drift; recalibrate the
-    // baseline with a full run when those paths intentionally change.
-    // Series missing from an older baseline are skipped.
+    // below its full-mode baseline (census-range miss sits near 0.1× of
+    // it), so the gate catches structural regressions (hits becoming
+    // replays, replay blow-ups, compile blow-ups), not percent-level
+    // drift; recalibrate the baseline with a full run when those paths
+    // intentionally change. Series missing from an older baseline are
+    // skipped.
     if let Some(base_path) =
         argv.iter().position(|a| a == "--gate").and_then(|i| argv.get(i + 1))
     {
         let mut failed = false;
-        for (title, measured) in gates {
-            let measured = measured.expect("census-eq suite always runs");
-            match baseline_ns(base_path, title, "census-eq") {
+        for (title, suite, measured) in gates {
+            let measured = measured.expect("gated suites always run");
+            match baseline_ns(base_path, title, suite) {
                 Some(base) => {
                     let ratio = measured / base;
                     eprintln!(
-                        "gate: census-eq {title}: {measured:.0}ns vs baseline \
+                        "gate: {suite} {title}: {measured:.0}ns vs baseline \
                          {base:.0}ns (ratio {ratio:.2}, limit 1.25)"
                     );
                     if ratio > 1.25 {
@@ -331,9 +343,11 @@ fn main() -> reldb::Result<()> {
                         failed = true;
                     }
                 }
-                None => eprintln!(
-                    "gate: no census-eq row in '{title}' of {base_path}; skipping"
-                ),
+                None => {
+                    eprintln!(
+                        "gate: no {suite} row in '{title}' of {base_path}; skipping"
+                    )
+                }
             }
         }
         if failed {

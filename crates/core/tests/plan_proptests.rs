@@ -36,7 +36,7 @@ fn arb_prm() -> impl Strategy<Value = (Prm, SchemaInfo)> {
         any::<bool>(), // y0 ← parent.x0
         any::<bool>(), // JI ← parent.x1
         2usize..4,     // card of x0
-        2usize..5,     // card of y0
+        2usize..10,    // card of y0
     )
         .prop_map(|(w, local_edge, foreign_edge, ji_parent_p, cx, cy)| {
             let mut wi = w.into_iter().cycle();
@@ -153,16 +153,21 @@ fn arb_prm() -> impl Strategy<Value = (Prm, SchemaInfo)> {
 /// A random query over the two-table schema: template (single-table vs
 /// explicit join) and a random subset of predicates with random
 /// constants, covering equality, membership, and range evidence masks.
+/// `y0` takes an equality, a range, or a gapped `IN` list, optionally
+/// intersected with a second range — so its mask may be a long run,
+/// several runs, or empty.
 fn arb_query() -> impl Strategy<Value = Query> {
     (
         any::<bool>(), // explicit join?
         0usize..4,     // pred selector bitmask over {y0, y1, x1}
-        0i64..5,       // y0 constant (may fall outside the domain)
+        0i64..10,      // y0 constant (may fall outside the domain)
         0i64..2,       // y1 constant
         0i64..2,       // x1 constant
-        any::<bool>(), // y0 pred: range instead of eq
+        0usize..3,     // y0 pred: eq, range [0, v0], or IN over `in_bits`
+        any::<u32>(),  // y0 IN list: codes 0..10 whose bit is set
+        prop_oneof![Just(None), (0i64..10, 0i64..10).prop_map(Some)], // second y0 range
     )
-        .prop_map(|(join, mask, v0, v1, vx, range)| {
+        .prop_map(|(join, mask, v0, v1, vx, kind, in_bits, range2)| {
             let mut b = Query::builder();
             let c = b.var("child");
             let p = if join {
@@ -173,10 +178,20 @@ fn arb_query() -> impl Strategy<Value = Query> {
                 None
             };
             if mask & 1 != 0 {
-                if range {
-                    b.range(c, "y0", Some(0), Some(v0));
-                } else {
-                    b.eq(c, "y0", v0);
+                match kind {
+                    0 => b.eq(c, "y0", v0),
+                    1 => b.range(c, "y0", Some(0), Some(v0)),
+                    _ => b.isin(
+                        c,
+                        "y0",
+                        (0..10)
+                            .filter(|k| in_bits >> k & 1 == 1)
+                            .map(Value::Int)
+                            .collect(),
+                    ),
+                };
+                if let Some((lo, hi)) = range2 {
+                    b.range(c, "y0", Some(lo), Some(hi));
                 }
             }
             if mask & 2 != 0 {
