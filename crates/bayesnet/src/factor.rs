@@ -260,44 +260,6 @@ impl Factor {
         reduce_in_place(&mut data, card, inner, allowed);
         Factor::assemble(self.vars.clone(), self.cards.clone(), data)
     }
-
-    /// Pointwise division `φ / ψ` where ψ's scope must be a subset of φ's.
-    /// Division by zero yields zero (the standard convention in clique-tree
-    /// calibration, where a zero divisor always divides a zero dividend).
-    pub fn divide(&self, other: &Factor) -> Factor {
-        assert!(
-            other.vars.iter().all(|v| self.vars.contains(v)),
-            "divisor scope must be contained in dividend scope"
-        );
-        let stride_b = strides_in(&other.vars, &other.cards, &self.vars);
-        let mut data = vec![0.0; self.data.len()];
-        let mut assign = vec![0usize; self.vars.len()];
-        let mut ib = 0usize;
-        for (i, slot) in data.iter_mut().enumerate() {
-            let d = other.data[ib];
-            *slot = if d == 0.0 { 0.0 } else { self.data[i] / d };
-            for k in (0..self.vars.len()).rev() {
-                assign[k] += 1;
-                ib += stride_b[k];
-                if assign[k] < self.cards[k] {
-                    break;
-                }
-                assign[k] = 0;
-                ib -= stride_b[k] * self.cards[k];
-            }
-        }
-        Factor::assemble(self.vars.clone(), self.cards.clone(), data)
-    }
-
-    /// Scales all entries so they sum to one. No-op for an all-zero factor.
-    pub fn normalize(&mut self) {
-        let t = self.total();
-        if t > 0.0 {
-            for v in &mut self.data {
-                *v /= t;
-            }
-        }
-    }
 }
 
 /// Merged scope of two factors: sorted union of vars with their cards.
@@ -993,40 +955,6 @@ mod tests {
         assert!(close(r.value_at(&[0, 1]), 2.0));
         assert!(close(r.value_at(&[1, 0]), 0.0));
         assert!(close(r.value_at(&[1, 2]), 6.0));
-    }
-
-    #[test]
-    fn divide_inverts_product() {
-        let a = Factor::new(vec![0, 1], vec![2, 3], vec![1., 2., 3., 4., 5., 6.]);
-        let b = Factor::new(vec![1], vec![3], vec![2.0, 4.0, 8.0]);
-        let q = a.product(&b).divide(&b);
-        for (x, y) in q.data().iter().zip(a.data()) {
-            assert!((x - y).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn divide_by_zero_yields_zero() {
-        let a = Factor::new(vec![0], vec![2], vec![0.0, 3.0]);
-        let b = Factor::new(vec![0], vec![2], vec![0.0, 3.0]);
-        let q = a.divide(&b);
-        assert_eq!(q.data(), &[0.0, 1.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "divisor scope")]
-    fn divide_requires_scope_containment() {
-        let a = Factor::new(vec![0], vec![2], vec![1.0, 1.0]);
-        let b = Factor::new(vec![1], vec![2], vec![1.0, 1.0]);
-        a.divide(&b);
-    }
-
-    #[test]
-    fn normalize_scales_to_one() {
-        let mut f = Factor::new(vec![0], vec![2], vec![2.0, 6.0]);
-        f.normalize();
-        assert!(close(f.value_at(&[0]), 0.25));
-        assert!(close(f.total(), 1.0));
     }
 
     /// A deterministic pseudo-random factor (values in (0, 1]).

@@ -149,24 +149,21 @@ pub fn probability_of_evidence(bn: &BayesNet, evidence: &Evidence) -> f64 {
     if evidence.is_empty() {
         return 1.0;
     }
-    let (factors, relevant) = reduced_relevant_factors(bn, evidence, &[]);
+    let (factors, relevant) = reduced_relevant_factors(bn, evidence);
     let elim: Vec<usize> = (0..bn.len()).filter(|&v| relevant[v]).collect();
     eliminate_all(factors, &elim, |v| bn.card(v))
 }
 
 /// Materializes and evidence-reduces the CPD factors of the *relevant*
-/// set: the evidence variables, every variable in `extra_roots`, and all
-/// of their ancestors. CPDs of barren variables integrate to 1 and are
-/// dropped. Returns the factors (ascending by owning variable) and the
-/// relevance mask.
+/// set: the evidence variables and all of their ancestors. CPDs of barren
+/// variables integrate to 1 and are dropped. Returns the factors
+/// (ascending by owning variable) and the relevance mask.
 fn reduced_relevant_factors(
     bn: &BayesNet,
     evidence: &Evidence,
-    extra_roots: &[usize],
 ) -> (Vec<Factor>, Vec<bool>) {
     let mut relevant = vec![false; bn.len()];
-    let mut stack: Vec<usize> =
-        evidence.vars().chain(extra_roots.iter().copied()).collect();
+    let mut stack: Vec<usize> = evidence.vars().collect();
     for &v in &stack {
         assert!(v < bn.len(), "evidence variable out of range");
         relevant[v] = true;
@@ -191,29 +188,6 @@ fn reduced_relevant_factors(
         factors.push(f);
     }
     (factors, relevant)
-}
-
-/// Posterior `P(var | evidence)` from a **single** variable elimination
-/// that leaves `var` uneliminated: one pass yields the joint
-/// `P(var = c ∧ E)` for every value `c` at once, and `P(E)` is its total.
-/// Use [`crate::jointree`] when many posteriors are needed under the same
-/// evidence.
-pub fn posterior(bn: &BayesNet, evidence: &Evidence, var: usize) -> Factor {
-    let card = bn.card(var);
-    let (factors, relevant) = reduced_relevant_factors(bn, evidence, &[var]);
-    let elim: Vec<usize> = (0..bn.len()).filter(|&v| relevant[v] && v != var).collect();
-    let scopes: Vec<Vec<usize>> = factors.iter().map(|f| f.vars().to_vec()).collect();
-    let order = elimination_order(&scopes, &elim, |v| bn.card(v));
-    let joint = eliminate_keeping(
-        factors.into_iter().map(Cow::Owned).collect(),
-        &order,
-        var,
-        card,
-    );
-    let p_e = joint.total();
-    let data =
-        joint.data().iter().map(|&j| if p_e > 0.0 { j / p_e } else { 0.0 }).collect();
-    Factor::new(vec![var], vec![card], data)
 }
 
 /// Runs variable elimination over arbitrary factors, summing out every
@@ -420,51 +394,20 @@ pub fn try_eliminate_in_order(
         .product())
 }
 
-/// Like [`eliminate_in_order`], but the leftover factors are multiplied
-/// into a factor over `keep` (which must not appear in `order`) instead of
-/// a scalar — the single-pass workhorse behind [`posterior`].
-fn eliminate_keeping(
-    mut factors: Vec<Cow<'_, Factor>>,
-    order: &[usize],
-    keep: usize,
-    keep_card: usize,
-) -> Factor {
-    debug_assert!(!order.contains(&keep));
-    for &var in order {
-        let (touching, rest): (Vec<_>, Vec<_>) =
-            factors.into_iter().partition(|f| f.contains_var(var));
-        factors = rest;
-        if touching.is_empty() {
-            continue;
-        }
-        let mut iter = touching.into_iter();
-        let mut combined = iter.next().expect("at least one factor").into_owned();
-        for f in iter {
-            combined = combined.product(&f);
-        }
-        factors.push(Cow::Owned(combined.sum_out(var)));
-        obs::counter!("bn.infer.messages").inc();
-    }
-    factors
-        .into_iter()
-        .map(Cow::into_owned)
-        .reduce(|a, b| a.product(&b))
-        .map(|f| {
-            if f.is_empty() {
-                // No factor mentioned `keep`: broadcast the scalar.
-                let v = f.scalar_value();
-                Factor::new(vec![keep], vec![keep_card], vec![v; keep_card])
-            } else {
-                f
-            }
-        })
-        .unwrap_or_else(|| Factor::ones(vec![keep], vec![keep_card]))
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::cpd::TableCpd;
+    use std::sync::{PoisonError, RwLock, RwLockReadGuard};
+
+    /// The `infer.eliminate` site is process-global: the test that arms it
+    /// holds this lock exclusively, and every test that runs elimination
+    /// holds it shared, so no sibling sees the injected fault.
+    static ELIMINATE_SITE: RwLock<()> = RwLock::new(());
+
+    pub(crate) fn eliminate_site_shared() -> RwLockReadGuard<'static, ()> {
+        ELIMINATE_SITE.read().unwrap_or_else(PoisonError::into_inner)
+    }
 
     /// The Education → Income → Home-owner chain from §2.1 of the paper,
     /// with the exact numbers of Fig. 1(b).
@@ -493,6 +436,7 @@ mod tests {
 
     #[test]
     fn reproduces_paper_joint_entries() {
+        let _site = eliminate_site_shared();
         let bn = paper_chain();
         // P(E=h, I=l, H=f) = 0.5·0.6·0.9 = 0.27 (first row of Fig. 1(a)).
         let mut ev = Evidence::new();
@@ -506,6 +450,7 @@ mod tests {
 
     #[test]
     fn marginals_match_paper_histograms() {
+        let _site = eliminate_site_shared();
         let bn = paper_chain();
         // P(I=l) = 0.47, P(H=t) = 0.344 (Fig. 1(c)).
         let mut ev = Evidence::new();
@@ -518,6 +463,7 @@ mod tests {
 
     #[test]
     fn set_evidence_answers_range_style_queries() {
+        let _site = eliminate_site_shared();
         let bn = paper_chain();
         // P(I ∈ {m, h}) = 1 − 0.47 = 0.53.
         let mut ev = Evidence::new();
@@ -527,12 +473,14 @@ mod tests {
 
     #[test]
     fn empty_evidence_is_one() {
+        let _site = eliminate_site_shared();
         let bn = paper_chain();
         assert_eq!(probability_of_evidence(&bn, &Evidence::new()), 1.0);
     }
 
     #[test]
     fn contradictory_evidence_is_zero() {
+        let _site = eliminate_site_shared();
         let bn = paper_chain();
         let mut ev = Evidence::new();
         ev.eq(1, 0, 3).eq(1, 1, 3); // I = l AND I = m
@@ -541,6 +489,7 @@ mod tests {
 
     #[test]
     fn ve_matches_full_joint_enumeration() {
+        let _site = eliminate_site_shared();
         let bn = paper_chain();
         let joint = bn.factors().into_iter().reduce(|a, b| a.product(&b)).unwrap();
         // Check every single-var and pairwise evidence combination.
@@ -560,32 +509,12 @@ mod tests {
     }
 
     #[test]
-    fn posterior_matches_bayes_rule() {
-        let bn = paper_chain();
-        // P(E | H = t) by hand: P(E=e)·P(H=t|E=e)/P(H=t).
-        let mut ev = Evidence::new();
-        ev.eq(2, 1, 2);
-        let post = posterior(&bn, &ev, 0);
-        assert!((post.total() - 1.0).abs() < 1e-12);
-        // P(E=a | H=t): P(a)·P(t|a) / 0.344 where
-        // P(t|a) = 0.1·0.1 + 0.3·0.3 + 0.6·0.9 = 0.64.
-        let expect = 0.2 * 0.64 / 0.344;
-        assert!((post.value_at(&[2]) - expect).abs() < 1e-12);
-    }
-
-    #[test]
-    fn posterior_with_no_evidence_is_prior() {
-        let bn = paper_chain();
-        let post = posterior(&bn, &Evidence::new(), 1);
-        assert!((post.value_at(&[0]) - 0.47).abs() < 1e-12);
-    }
-
-    #[test]
     fn guarded_and_unguarded_elimination_are_bit_identical() {
+        let _site = eliminate_site_shared();
         let bn = paper_chain();
         let mut ev = Evidence::new();
         ev.eq(2, 1, 2);
-        let (factors, relevant) = reduced_relevant_factors(&bn, &ev, &[]);
+        let (factors, relevant) = reduced_relevant_factors(&bn, &ev);
         let elim: Vec<usize> = (0..bn.len()).filter(|&v| relevant[v]).collect();
         let scopes: Vec<Vec<usize>> = factors.iter().map(|f| f.vars().to_vec()).collect();
         let order = elimination_order(&scopes, &elim, |v| bn.card(v));
@@ -604,10 +533,11 @@ mod tests {
 
     #[test]
     fn width_budget_refuses_large_intermediates() {
+        let _site = eliminate_site_shared();
         let bn = paper_chain();
         let mut ev = Evidence::new();
         ev.eq(0, 0, 3).eq(2, 0, 2);
-        let (factors, relevant) = reduced_relevant_factors(&bn, &ev, &[]);
+        let (factors, relevant) = reduced_relevant_factors(&bn, &ev);
         let elim: Vec<usize> = (0..bn.len()).filter(|&v| relevant[v]).collect();
         // Every intermediate in this chain has at least 2 cells.
         let abort = try_eliminate_all(
@@ -628,10 +558,11 @@ mod tests {
 
     #[test]
     fn expired_deadline_aborts_before_work() {
+        let _site = eliminate_site_shared();
         let bn = paper_chain();
         let mut ev = Evidence::new();
         ev.eq(1, 0, 3);
-        let (factors, relevant) = reduced_relevant_factors(&bn, &ev, &[]);
+        let (factors, relevant) = reduced_relevant_factors(&bn, &ev);
         let elim: Vec<usize> = (0..bn.len()).filter(|&v| relevant[v]).collect();
         let abort = try_eliminate_all(
             factors,
@@ -648,11 +579,12 @@ mod tests {
 
     #[test]
     fn infer_failpoint_injects_fault_abort() {
+        let _site = ELIMINATE_SITE.write().unwrap_or_else(PoisonError::into_inner);
         failpoint::arm("infer.eliminate", failpoint::Action::Err);
         let bn = paper_chain();
         let mut ev = Evidence::new();
         ev.eq(1, 0, 3);
-        let (factors, relevant) = reduced_relevant_factors(&bn, &ev, &[]);
+        let (factors, relevant) = reduced_relevant_factors(&bn, &ev);
         let elim: Vec<usize> = (0..bn.len()).filter(|&v| relevant[v]).collect();
         let r =
             try_eliminate_all(factors, &elim, |v| bn.card(v), InferBudget::unlimited());
@@ -665,6 +597,7 @@ mod tests {
 
     #[test]
     fn barren_nodes_are_pruned() {
+        let _site = eliminate_site_shared();
         // Evidence only on the root: the two descendants are barren; the
         // answer must equal the root marginal regardless.
         let bn = paper_chain();

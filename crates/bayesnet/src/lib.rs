@@ -13,11 +13,11 @@
 //! * exact inference by **variable elimination** ([`infer`]), where
 //!   evidence is a *set* of allowed values per variable so equality, `IN`,
 //!   and range predicates are all answered exactly (paper §2.3),
-//! * **maximum-likelihood learning** ([`learn`]): sufficient statistics,
-//!   the mutual-information form of the log-likelihood score (paper
-//!   Eq. 5), tree-CPD induction, and greedy hill-climbing structure search
-//!   under a byte budget with the paper's three step-selection rules
-//!   (naive ΔLL, storage-size-normalized **SSN**, and **MDL**),
+//! * **maximum-likelihood learning** building blocks ([`learn`]): the
+//!   mutual-information form of the log-likelihood score (paper Eq. 5),
+//!   the MDL penalty, and tree-CPD induction. The structure search itself
+//!   lives in `prmsel::learn`, which learns every model (PRM, BN and
+//!   BN+UJ) as a restricted PRM (paper §4),
 //! * equi-depth [`discretize`] for large ordinal domains, and forward
 //!   [`sample`]-ing (used by the synthetic workload generators).
 //!
@@ -49,7 +49,6 @@ pub mod discretize;
 pub mod factor;
 pub mod graph;
 pub mod infer;
-pub mod jointree;
 pub mod learn;
 pub mod network;
 pub mod sample;
@@ -62,9 +61,6 @@ pub use infer::{
     eliminate_all, eliminate_in_order, elimination_order, probability_of_evidence,
     try_eliminate_all, try_eliminate_in_order, Evidence, InferAbort, InferBudget,
 };
-pub use jointree::JoinTree;
-pub use learn::dataset::Dataset;
-pub use learn::search::{GreedyLearner, LearnConfig, StepRule};
 pub use network::{BayesNet, CpdFactorCache};
 pub use sample::{likelihood_weighting, likelihood_weighting_cached};
 pub use varset::VarSet;

@@ -129,43 +129,15 @@ impl BayesNet {
     pub fn topological_order(&self) -> Vec<usize> {
         self.dag.topological_order()
     }
-
-    /// Log-likelihood of a dataset under this network's *current*
-    /// parameters: `Σ_rows Σ_vars ln P(x_v | pa_v)`. Probabilities are
-    /// floored at `1e-300` so unseen configurations yield a large finite
-    /// penalty rather than `-∞`.
-    ///
-    /// Panics if the network is incomplete or the dataset's cardinalities
-    /// disagree with the network's.
-    pub fn log_likelihood(&self, data: &crate::learn::dataset::Dataset) -> f64 {
-        assert_eq!(data.n_vars(), self.len(), "variable count mismatch");
-        for v in 0..self.len() {
-            assert_eq!(data.card(v), self.card(v), "cardinality mismatch at {v}");
-        }
-        let mut ll = 0.0;
-        let mut parents_buf: Vec<u32> = Vec::new();
-        for v in 0..self.len() {
-            let cpd = self.cpds[v].as_ref().expect("network is incomplete");
-            let child = data.col(v);
-            let parent_cols: Vec<&[u32]> =
-                self.parents(v).iter().map(|&p| data.col(p)).collect();
-            for (row, &c) in child.iter().enumerate() {
-                parents_buf.clear();
-                parents_buf.extend(parent_cols.iter().map(|col| col[row]));
-                let p = cpd.dist(&parents_buf)[c as usize].max(1e-300);
-                ll += p.ln();
-            }
-        }
-        ll
-    }
 }
 
 /// Lazily materialized CPD factors of one network, one slot per variable.
 ///
 /// [`BayesNet::factors`] re-walks every CPD (tree CPDs pay a
 /// per-parent-configuration tree walk) each call; anything that builds
-/// inference structures repeatedly over the same network — junction trees
-/// per evidence set, posterior batches — should share one cache instead.
+/// inference structures repeatedly over the same network — such as the
+/// query-evaluation networks unrolled per query — should share one cache
+/// instead.
 /// Slots fill on first use behind `OnceLock`, so concurrent builders share
 /// the result; materializations are counted as `bn.factor.materialize`.
 ///
@@ -265,25 +237,6 @@ mod tests {
         assert_eq!(bn.parents(0), &[] as &[usize]);
         // And the old edges are still intact.
         assert_eq!(bn.parents(1), &[0]);
-    }
-
-    #[test]
-    fn log_likelihood_matches_learner_totals() {
-        use crate::learn::dataset::Dataset;
-        use crate::learn::search::{GreedyLearner, LearnConfig};
-        let n = 500;
-        let a: Vec<u32> = (0..n).map(|i| (i % 2) as u32).collect();
-        let b: Vec<u32> = a.iter().map(|&v| v ^ 1).collect();
-        let data = Dataset::new(vec!["a".into(), "b".into()], vec![2, 2], vec![a, b]);
-        let outcome =
-            GreedyLearner::new(LearnConfig { restarts: 0, ..Default::default() })
-                .learn(&data);
-        let direct = outcome.network.log_likelihood(&data);
-        assert!(
-            (direct - outcome.loglik).abs() < 1e-6,
-            "direct {direct} vs learner {}",
-            outcome.loglik
-        );
     }
 
     #[test]

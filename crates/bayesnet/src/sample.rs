@@ -232,6 +232,7 @@ mod tests {
     #[test]
     fn likelihood_weighting_converges_to_exact() {
         use crate::infer::{probability_of_evidence, Evidence};
+        let _site = crate::infer::tests::eliminate_site_shared();
         let bn = chain();
         let mut ev = Evidence::new();
         ev.eq(1, 1, 2); // P(B=1) = 0.22
@@ -244,6 +245,7 @@ mod tests {
     #[test]
     fn likelihood_weighting_handles_set_evidence() {
         use crate::infer::{probability_of_evidence, Evidence};
+        let _site = crate::infer::tests::eliminate_site_shared();
         let bn = chain();
         let mut ev = Evidence::new();
         ev.isin(0, &[0, 1], 2); // no restriction at all → P = 1

@@ -5,7 +5,7 @@
 //! `stats --from-url` / `--templates` reports.
 
 use std::path::PathBuf;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use prmsel::{estimate_batch, PrmEstimator, PrmLearnConfig};
 use prmsel_cli::commands::{run, write_csv_dir};
@@ -90,6 +90,16 @@ fn concurrent_scrapes_stay_lint_valid_during_estimation() {
     });
 }
 
+/// The `prm_estimate_ns` histogram's observation count in an OpenMetrics
+/// body (0 before the first estimate registers the series).
+fn estimate_count(metrics: &str) -> u64 {
+    metrics
+        .lines()
+        .find_map(|l| l.strip_prefix("prm_estimate_ns_count "))
+        .and_then(|n| n.trim().parse().ok())
+        .unwrap_or(0)
+}
+
 /// `prmsel monitor` end to end: ephemeral port via `--port-file`, live
 /// endpoints while the workload replays, and a served-request summary.
 #[test]
@@ -128,8 +138,21 @@ fn monitor_command_serves_all_endpoints() {
             }
         };
 
-        let (status, metrics) = httpd::get(&addr, "/metrics").unwrap();
-        assert_eq!(status, 200);
+        // The socket is bound before the model is built, so wait until the
+        // workload has recorded an estimate; the server stays up until
+        // `--duration-secs` has passed, so the scrapes below still see it.
+        let metrics = {
+            let deadline = Instant::now() + Duration::from_secs(2);
+            loop {
+                let (status, metrics) = httpd::get(&addr, "/metrics").unwrap();
+                assert_eq!(status, 200);
+                if estimate_count(&metrics) > 0 {
+                    break metrics;
+                }
+                assert!(Instant::now() < deadline, "no estimate recorded in 2 s");
+                std::thread::sleep(Duration::from_millis(25));
+            }
+        };
         obs::openmetrics::lint(&metrics).unwrap();
         let (status, build) = httpd::get(&addr, "/buildinfo").unwrap();
         assert_eq!(status, 200);

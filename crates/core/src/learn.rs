@@ -29,13 +29,24 @@ use bayesnet::cpd::TableCpd;
 use bayesnet::graph::Dag;
 use bayesnet::learn::score::{family_loglik, mdl_penalty_per_param};
 use bayesnet::learn::treecpd::{grow_tree, TreeGrowOptions};
-use bayesnet::{Cpd, CpdKind, StepRule};
+use bayesnet::{Cpd, CpdKind};
 use reldb::{CountTable, Database, Result};
 
 use crate::ctx::Ctx;
 use crate::prm::{
     AttrModel, JiParentRef, JoinIndicatorModel, ParentRef, Prm, TableModel,
 };
+
+/// Step-selection rule for hill climbing (paper §4.3.3).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum StepRule {
+    /// Largest ΔLL (ignores cost except for the hard budget).
+    Naive,
+    /// Storage-size-normalized: largest ΔLL / Δbytes.
+    Ssn,
+    /// Minimum description length: largest Δ(LL − DL).
+    Mdl,
+}
 
 /// Configuration of PRM construction.
 #[derive(Debug, Clone)]
@@ -1217,6 +1228,63 @@ mod tests {
             !child.attrs[0].parents.is_empty()
                 || !child.join_indicators[0].parents.is_empty(),
             "restarted model lost all structure"
+        );
+    }
+
+    /// One table: `b` is a copy of `a` with every tenth row flipped, and
+    /// `c` is independent of both.
+    fn noisy_copy_db() -> Database {
+        let mut t = TableBuilder::new("t").key("id").col("a").col("b").col("c");
+        for i in 0..2000i64 {
+            let a = i % 2;
+            let b = if i % 10 == 0 { 1 - a } else { a };
+            let c = (i / 7) % 3;
+            t.push_row(vec![
+                Cell::Key(i),
+                Cell::Val(Value::Int(a)),
+                Cell::Val(Value::Int(b)),
+                Cell::Val(Value::Int(c)),
+            ])
+            .unwrap();
+        }
+        DatabaseBuilder::new().add_table(t.finish().unwrap()).finish().unwrap()
+    }
+
+    fn learn_noisy_copy(rule: StepRule) -> crate::prm::Prm {
+        let config =
+            PrmLearnConfig { cpd_kind: CpdKind::Table, rule, ..Default::default() };
+        learn_prm(&noisy_copy_db(), &config).unwrap()
+    }
+
+    #[test]
+    fn mdl_prunes_the_spurious_edges() {
+        let mdl = learn_noisy_copy(StepRule::Mdl);
+        let attrs = &mdl.table_model("t").unwrap().attrs;
+        let local = |attr| ParentRef::Local { attr };
+        assert!(
+            attrs[0].parents.contains(&local(1)) || attrs[1].parents.contains(&local(0)),
+            "MDL dropped the a–b edge: {attrs:?}"
+        );
+        assert!(
+            attrs[2].parents.is_empty(),
+            "MDL gave c parents: {:?}",
+            attrs[2].parents
+        );
+        assert!(
+            attrs[..2].iter().all(|a| !a.parents.contains(&local(2))),
+            "MDL made c a parent: {attrs:?}"
+        );
+    }
+
+    #[test]
+    fn mdl_prunes_more_than_naive() {
+        let mdl = learn_noisy_copy(StepRule::Mdl);
+        let naive = learn_noisy_copy(StepRule::Naive);
+        assert!(
+            mdl.size_bytes() <= naive.size_bytes(),
+            "MDL {} B > naive {} B",
+            mdl.size_bytes(),
+            naive.size_bytes()
         );
     }
 

@@ -95,10 +95,10 @@ pub use estimator::{
 };
 pub use groupby::GroupEstimate;
 pub use largedomain::{discretize_database, DiscretizedDatabase, DiscretizingEstimator};
-pub use learn::{learn_prm, PrmLearnConfig};
+pub use learn::{learn_prm, PrmLearnConfig, StepRule};
 pub use maintain::{
     drift_relearn_threshold, model_epoch, model_loglik, model_staleness_ms,
-    refresh_parameters, MaintainOptions, Maintainer, RelearnFn, DEFAULT_DRIFT_RELEARN,
+    refresh_parameters, MaintainOptions, Maintainer, DEFAULT_DRIFT_RELEARN,
 };
 pub use metrics::{
     adjusted_relative_error, evaluate_suite, record_quality, set_template_telemetry,
@@ -116,4 +116,4 @@ pub use swap::EpochCell;
 
 // Re-export the knobs callers tune.
 pub use bayesnet::learn::treecpd::TreeGrowOptions;
-pub use bayesnet::{CpdKind, StepRule};
+pub use bayesnet::CpdKind;

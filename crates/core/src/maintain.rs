@@ -18,9 +18,12 @@
 //!   [`UpdateBatch`]es, folds them into a [`DeltaState`] (O(batch), not
 //!   O(database)), refits, validates, and hot-swaps a new
 //!   [`crate::ModelEpoch`] into a shared [`crate::PrmEstimator`] — all off
-//!   the request path. Drift beyond [`drift_relearn_threshold`] escalates
-//!   to a structural relearn (or a watchdog alert when no relearn source
-//!   is wired). A failed or panicking cycle leaves the old epoch serving.
+//!   the request path. Drift beyond [`drift_relearn_threshold`] counts
+//!   `prm.maintain.relearn` and raises a `prm.maintain.drift` watchdog
+//!   warning: the operator decides when a structural relearn is worth
+//!   its cost (a parameter refresh matches one within noise at about 1%
+//!   of the cost on the maintenance bench). A failed or panicking cycle
+//!   leaves the old epoch serving.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -38,7 +41,6 @@ use crate::error::{Error as CoreError, Result as CoreResult};
 use crate::estimator::PrmEstimator;
 use crate::learn::PrmLearnConfig;
 use crate::prm::{JiParentRef, ParentRef, Prm};
-use crate::schema::SchemaInfo;
 
 /// Floor applied to model probabilities when scoring (see [`model_loglik`]).
 pub(crate) const P_FLOOR: f64 = 1e-12;
@@ -93,8 +95,8 @@ const LOGLIK_CHUNK: usize = 8192;
 /// this keeps the score usable as the paper's relearning trigger.
 ///
 /// The per-row attribute scan fans out across the worker pool in fixed
-/// [`LOGLIK_CHUNK`]-row chunks; see there for why the answer does not
-/// depend on the thread count.
+/// `LOGLIK_CHUNK`-row chunks whose partial sums fold in chunk order, so
+/// the answer does not depend on the thread count.
 pub fn model_loglik(prm: &Prm, db: &Database) -> Result<f64> {
     let ctx = ctx_for(prm, db)?;
     let mut ll = 0.0;
@@ -397,7 +399,7 @@ pub fn model_staleness_ms() -> u64 {
 
 /// Default for `PRMSEL_DRIFT_RELEARN`: per-row log-likelihood decay (in
 /// nats) beyond which parameter refits are judged insufficient and the
-/// repair loop escalates to a structural relearn.
+/// repair loop flags the model for a structural relearn.
 pub const DEFAULT_DRIFT_RELEARN: f64 = 0.5;
 
 /// The relearn threshold from `PRMSEL_DRIFT_RELEARN`, else
@@ -416,8 +418,8 @@ pub fn drift_relearn_threshold() -> f64 {
 /// Tuning for a [`Maintainer`].
 #[derive(Debug, Clone)]
 pub struct MaintainOptions {
-    /// Per-row drift (nats) beyond which the loop escalates to a
-    /// structural relearn; `None` reads `PRMSEL_DRIFT_RELEARN` at spawn.
+    /// Per-row drift (nats) beyond which the loop flags a structural
+    /// relearn; `None` reads `PRMSEL_DRIFT_RELEARN` at spawn.
     pub drift_relearn: Option<f64>,
     /// Idle period between staleness-gauge refreshes when no work
     /// arrives.
@@ -429,13 +431,6 @@ impl Default for MaintainOptions {
         MaintainOptions { drift_relearn: None, tick: Duration::from_millis(250) }
     }
 }
-
-/// A caller-supplied structural-relearn source: returns a freshly
-/// learned model, its schema snapshot, and a [`DeltaState`] rebuilt
-/// against the new structure — or `None` when relearning is unavailable
-/// (the loop then raises a `prm.maintain.drift` watchdog warning and
-/// keeps refitting parameters).
-pub type RelearnFn = Box<dyn FnMut() -> Option<(Prm, SchemaInfo, DeltaState)> + Send>;
 
 enum Cmd {
     Batch(UpdateBatch),
@@ -464,8 +459,9 @@ enum Cmd {
 ///
 /// Every rejected cycle raises a critical `prm.maintain.failed`
 /// watchdog alert (resolved by the next success); drift past the
-/// relearn threshold triggers the [`RelearnFn`] when one is wired, a
-/// `prm.maintain.drift` warning otherwise.
+/// relearn threshold counts `prm.maintain.relearn` and raises a
+/// `prm.maintain.drift` warning (resolved once drift falls back under
+/// it).
 pub struct Maintainer {
     tx: mpsc::Sender<Cmd>,
     handle: Option<std::thread::JoinHandle<()>>,
@@ -476,19 +472,8 @@ impl Maintainer {
     /// by [`DeltaState::build`] against the same model generation).
     pub fn spawn(
         est: Arc<PrmEstimator>,
-        state: DeltaState,
-        opts: MaintainOptions,
-    ) -> Maintainer {
-        Self::spawn_with_relearn(est, state, opts, None)
-    }
-
-    /// [`Maintainer::spawn`] with a structural-relearn source consulted
-    /// when drift exceeds the threshold.
-    pub fn spawn_with_relearn(
-        est: Arc<PrmEstimator>,
         mut state: DeltaState,
         opts: MaintainOptions,
-        mut relearn: Option<RelearnFn>,
     ) -> Maintainer {
         // Register the family up front so a snapshot distinguishes "no
         // maintenance yet" (explicit zeros) from "not exported".
@@ -514,10 +499,10 @@ impl Maintainer {
                         let _ = ack.send(());
                     }
                     Ok(Cmd::Batch(batch)) => {
-                        run_cycle(&est, &mut state, Some(batch), threshold, &mut relearn);
+                        run_cycle(&est, &mut state, Some(batch), threshold);
                     }
                     Ok(Cmd::Refit) => {
-                        run_cycle(&est, &mut state, None, threshold, &mut relearn);
+                        run_cycle(&est, &mut state, None, threshold);
                     }
                 }
             })
@@ -571,7 +556,6 @@ fn run_cycle(
     state: &mut DeltaState,
     batch: Option<UpdateBatch>,
     threshold: f64,
-    relearn: &mut Option<RelearnFn>,
 ) {
     if let Some(batch) = batch {
         let applied = catch_unwind(AssertUnwindSafe(|| -> CoreResult<u64> {
@@ -613,17 +597,6 @@ fn run_cycle(
         return;
     }
     obs::counter!("prm.maintain.relearn").inc();
-    if let Some(cb) = relearn.as_mut() {
-        if let Some((prm, schema, fresh_state)) = cb() {
-            est.replace_model(prm, schema);
-            *state = fresh_state;
-            obs::watchdog::resolve("prm.maintain.drift");
-            obs::info!(
-                "structural relearn swapped in (drift {drift:.3} > {threshold:.3})"
-            );
-            return;
-        }
-    }
     obs::watchdog::raise(
         obs::watchdog::Severity::Warning,
         "prm.maintain.drift",

@@ -126,9 +126,10 @@ pub fn load_model(mut input: impl Read) -> Result<(Prm, SchemaInfo)> {
 
 const MANIFEST_MAGIC: &[u8; 8] = b"PRMMAN01";
 
-/// Serializes a template manifest — the [`PlanKey`]s to precompile at
-/// model load — alongside a `PRMSEL02` model file. Same envelope as
-/// [`save_model`]: magic, payload length, FNV-1a checksum, payload.
+/// Serializes a template manifest — the [`PlanKey`](crate::PlanKey)s to
+/// precompile at model load — alongside a `PRMSEL02` model file. Same
+/// envelope as [`save_model`]: magic, payload length, FNV-1a checksum,
+/// payload.
 pub fn save_manifest(keys: &[crate::plan::PlanKey], mut out: impl Write) -> Result<()> {
     let mut payload = Vec::new();
     {
@@ -635,9 +636,20 @@ mod tests {
     use crate::estimator::{PrmEstimator, SelectivityEstimator};
     use crate::learn::{learn_prm, PrmLearnConfig};
     use crate::CpdKind;
+    use std::sync::{PoisonError, RwLock, RwLockReadGuard};
     use workloads::tb::tb_database_sized;
 
+    /// The `persist.load` site is process-global: the test that arms it
+    /// holds this lock exclusively, and every test that loads a model holds
+    /// it shared, so no sibling sees the injected fault.
+    static LOAD_SITE: RwLock<()> = RwLock::new(());
+
+    fn load_site_shared() -> RwLockReadGuard<'static, ()> {
+        LOAD_SITE.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
     fn round_trip(kind: CpdKind) {
+        let _site = load_site_shared();
         let db = tb_database_sized(100, 150, 1_200, 8);
         let prm =
             learn_prm(&db, &PrmLearnConfig { cpd_kind: kind, ..Default::default() })
@@ -676,12 +688,14 @@ mod tests {
 
     #[test]
     fn bad_magic_is_rejected() {
+        let _site = load_site_shared();
         let err = load_model(&b"NOTAMODL"[..]).unwrap_err();
         assert_eq!(err.class(), ErrorClass::Corrupt);
     }
 
     #[test]
     fn old_format_version_is_rejected() {
+        let _site = load_site_shared();
         let err = load_model(&b"PRMSEL01somepayloadbytesgohere.."[..]).unwrap_err();
         match err {
             Error::Corrupt { offset: Some(0), .. } => {}
@@ -700,6 +714,7 @@ mod tests {
 
     #[test]
     fn truncated_file_is_rejected_with_offset() {
+        let _site = load_site_shared();
         let buf = serialized_model();
         for keep in [0, 7, 12, 23, 24, buf.len() / 2, buf.len() - 1] {
             let mut cut = buf.clone();
@@ -717,6 +732,7 @@ mod tests {
 
     #[test]
     fn every_region_of_a_corrupted_model_is_caught() {
+        let _site = load_site_shared();
         let buf = serialized_model();
         // Flip a bit in each structural region: magic, declared length,
         // checksum, early payload (model structure), mid payload (CPD
@@ -745,6 +761,7 @@ mod tests {
 
     #[test]
     fn string_values_survive() {
+        let _site = load_site_shared();
         let buf = serialized_model();
         let (_, schema2) = load_model(buf.as_slice()).unwrap();
         // usborn's string domain reloads in order.
@@ -756,8 +773,10 @@ mod tests {
 
     #[test]
     fn load_failpoint_injects_internal_error() {
+        let bytes = serialized_model();
+        let _site = LOAD_SITE.write().unwrap_or_else(PoisonError::into_inner);
         failpoint::arm("persist.load", failpoint::Action::Err);
-        let r = load_model(serialized_model().as_slice());
+        let r = load_model(bytes.as_slice());
         failpoint::disarm("persist.load");
         assert_eq!(r.unwrap_err().class(), ErrorClass::Internal);
     }

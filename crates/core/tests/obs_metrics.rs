@@ -4,10 +4,19 @@
 //!
 //! The registry is shared across the whole process, so every assertion is
 //! a *delta* against a snapshot taken before the workload — absolute
-//! values would couple this test to execution order.
+//! values would couple this test to execution order — and every test holds
+//! [`serial`], so no sibling's estimates land inside another's delta.
+
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use prmsel::{PrmEstimator, PrmLearnConfig, SelectivityEstimator};
 use reldb::{Cell, Database, DatabaseBuilder, Query, TableBuilder, Value};
+
+/// Serializes the tests of this file on the process-global registry.
+fn serial() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 fn tiny_db() -> Database {
     let mut p = TableBuilder::new("parent").key("id").col("x");
@@ -36,6 +45,7 @@ fn tiny_db() -> Database {
 
 #[test]
 fn build_and_estimate_increment_the_expected_metrics() {
+    let _serial = serial();
     let reg = obs::registry();
     let calls_before = reg.counter("prm.estimate.calls").get();
     let ns_before = reg.histogram("prm.estimate.ns").count();
@@ -83,6 +93,7 @@ fn build_and_estimate_increment_the_expected_metrics() {
 
 #[test]
 fn suite_evaluation_drives_executor_and_quality_metrics() {
+    let _serial = serial();
     let reg = obs::registry();
     let exec_before = reg.counter("reldb.exec.queries").get();
     let rows_before = reg.counter("reldb.exec.rows_scanned").get();
@@ -108,6 +119,7 @@ fn suite_evaluation_drives_executor_and_quality_metrics() {
 
 #[test]
 fn histogram_snapshots_expose_quantiles_in_both_renderings() {
+    let _serial = serial();
     let reg = obs::registry();
     for v in 1..=100u64 {
         reg.histogram("test.obs.quantiles.ns").record(v);
@@ -128,6 +140,7 @@ fn histogram_snapshots_expose_quantiles_in_both_renderings() {
 
 #[test]
 fn plan_cache_hits_refresh_the_hit_ratio_gauge() {
+    let _serial = serial();
     let reg = obs::registry();
     let db = tiny_db();
     let est = PrmEstimator::build(&db, &PrmLearnConfig::default()).expect("build");
@@ -156,6 +169,7 @@ fn plan_cache_hits_refresh_the_hit_ratio_gauge() {
 /// evicts exactly the least-recently-used one, and the counter sees it.
 #[test]
 fn plan_cache_evicts_least_recently_used_at_capacity_64() {
+    let _serial = serial();
     // A single table with 7 binary attributes gives 127 distinct
     // single-table templates (non-empty predicate-attribute subsets).
     let mut t = TableBuilder::new("wide").key("id");
@@ -211,6 +225,7 @@ fn plan_cache_evicts_least_recently_used_at_capacity_64() {
 
 #[test]
 fn estimate_batch_picks_serial_or_parallel_by_cost() {
+    let _serial = serial();
     let reg = obs::registry();
     let db = tiny_db();
     let est = PrmEstimator::build(&db, &PrmLearnConfig::default()).expect("build");
@@ -245,6 +260,7 @@ fn estimate_batch_picks_serial_or_parallel_by_cost() {
 
 #[test]
 fn flight_recorder_captures_phases_steps_and_quality() {
+    let _serial = serial();
     let db = tiny_db();
     let est = PrmEstimator::build(&db, &PrmLearnConfig::default()).expect("build");
     let mut b = Query::builder();
@@ -294,6 +310,7 @@ fn flight_recorder_captures_phases_steps_and_quality() {
 
 #[test]
 fn quality_recording_feeds_the_error_histograms() {
+    let _serial = serial();
     let reg = obs::registry();
     let before = reg.histogram("quality.adj_rel_err_pct").count();
     let q_before = reg.histogram("quality.qerror_milli").count();
@@ -310,6 +327,7 @@ fn quality_recording_feeds_the_error_histograms() {
 
 #[test]
 fn reduce_memo_counters_track_miss_then_hit() {
+    let _serial = serial();
     let reg = obs::registry();
     let est = PrmEstimator::build(&tiny_db(), &PrmLearnConfig::default()).expect("build");
     let mut b = Query::builder();
@@ -339,6 +357,7 @@ fn reduce_memo_counters_track_miss_then_hit() {
 
 #[test]
 fn pool_dispatch_latency_is_recorded() {
+    let _serial = serial();
     let before = obs::registry().histogram("par.pool.dispatch.ns").count();
     // Force a parallel region wide enough to enqueue jobs on the
     // persistent pool (the caller runs chunk 0 inline, the rest are
@@ -355,6 +374,7 @@ fn pool_dispatch_latency_is_recorded() {
 
 #[test]
 fn likelihood_weighting_materializes_each_cpd_once_per_estimate() {
+    let _serial = serial();
     use prmsel::InferenceEngine;
     let reg = obs::registry();
     let db = tiny_db();

@@ -3,14 +3,14 @@
 //! A dependency-free telemetry layer shared by every crate in the
 //! workspace. Two halves:
 //!
-//! * **Metrics** ([`registry`]) — a process-global registry of atomic
+//! * **Metrics** ([`registry`](mod@registry)) — a process-global registry of atomic
 //!   [`Counter`]s, [`Gauge`]s, and log₂-bucketed [`Histogram`]s. The hot
 //!   path is lock-free: registration interns a handle once (behind a
 //!   mutex), after which every update is a single relaxed atomic
 //!   operation. Call sites memoize the handle with the [`counter!`],
 //!   [`gauge!`], and [`histogram!`] macros, so steady-state cost is one
 //!   static load plus one atomic add.
-//! * **Tracing** ([`trace`]) — leveled events ([`error!`] … [`trace!`])
+//! * **Tracing** ([`trace`](mod@trace)) — leveled events ([`error!`] … [`trace!`])
 //!   and timed [`Span`]s, filtered by the `PRMSEL_LOG` (or `RUST_LOG`)
 //!   environment variable with per-module-prefix directives, e.g.
 //!   `PRMSEL_LOG=info,prmsel::learn=debug`. Disabled events cost one

@@ -2,7 +2,7 @@
 //! snapshots plus the derivations that turn cumulative counters into
 //! *rates* and cumulative log₂ histograms into *windowed* quantiles.
 //!
-//! The registry (§ [`crate::registry`]) is cumulative-since-boot, which
+//! The registry (§ [`crate::registry`](mod@crate::registry)) is cumulative-since-boot, which
 //! answers "how has this process done overall" but not "what is it doing
 //! *now*" — the question a long-lived estimator's operator (and the
 //! drift watchdog in [`crate::watchdog`]) actually asks. This module adds

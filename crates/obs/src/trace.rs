@@ -258,8 +258,8 @@ mod tests {
 
         apply_directives("info,prmsel::learn=trace,reldb=off");
         assert!(enabled(Level::Trace, "prmsel::learn::search"));
-        assert!(enabled(Level::Info, "bayesnet::jointree"));
-        assert!(!enabled(Level::Debug, "bayesnet::jointree"));
+        assert!(enabled(Level::Info, "bayesnet::infer"));
+        assert!(!enabled(Level::Debug, "bayesnet::infer"));
         assert!(!enabled(Level::Error, "reldb::exec"));
 
         apply_directives("off");

@@ -364,10 +364,15 @@ where
 mod tests {
     use super::*;
 
-    /// Tests mutate the process-wide override; serialize them.
-    fn with_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
+    /// Tests mutate the process-wide override and the process-wide pool
+    /// metrics; every test that runs the pool holds this lock.
+    fn serial() -> std::sync::MutexGuard<'static, ()> {
         static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        let _guard = LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
+    fn with_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
+        let _guard = serial();
         set_threads(Some(n));
         let out = f();
         set_threads(None);
@@ -385,6 +390,7 @@ mod tests {
 
     #[test]
     fn chunks_partition_exactly_in_order() {
+        let _serial = serial();
         for (n, t) in [(10, 3), (7, 7), (5, 8), (1, 4), (100, 1)] {
             let ranges = chunks_with(t, n, |r| r);
             assert_eq!(ranges.len(), t.min(n));
@@ -440,6 +446,7 @@ mod tests {
 
     #[test]
     fn nested_regions_do_not_deadlock() {
+        let _serial = serial();
         // An inner parallel region inside a pool job must complete even when
         // every worker is busy — callers help drain the queue while waiting.
         let out = chunks_with(4, 8, |outer| {
@@ -451,6 +458,7 @@ mod tests {
 
     #[test]
     fn worker_panic_propagates_to_caller() {
+        let _serial = serial();
         let caught = std::panic::catch_unwind(|| {
             chunks_with(4, 8, |r| {
                 if r.start > 0 {
@@ -466,6 +474,7 @@ mod tests {
 
     #[test]
     fn dispatch_latency_is_recorded_for_pool_jobs() {
+        let _serial = serial();
         let before = obs::registry()
             .snapshot()
             .histogram("par.pool.dispatch.ns")

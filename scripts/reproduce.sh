@@ -10,5 +10,3 @@ for bin in fig4 fig5 fig6 fig7 ablation maintenance optimizer; do
   echo "== $bin =="
   ./target/release/$bin "${ARGS[@]}" | tee "results/$bin.txt"
 done
-echo "== criterion benches =="
-cargo bench --workspace
