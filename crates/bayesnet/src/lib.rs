@@ -61,6 +61,6 @@ pub use infer::{
     eliminate_all, eliminate_in_order, elimination_order, probability_of_evidence,
     try_eliminate_all, try_eliminate_in_order, Evidence, InferAbort, InferBudget,
 };
-pub use network::{BayesNet, CpdFactorCache};
-pub use sample::{likelihood_weighting, likelihood_weighting_cached};
+pub use network::BayesNet;
+pub use sample::likelihood_weighting;
 pub use varset::VarSet;

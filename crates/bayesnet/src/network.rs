@@ -1,7 +1,5 @@
 //! The Bayesian-network container.
 
-use std::sync::{Arc, OnceLock};
-
 use crate::cpd::Cpd;
 use crate::factor::Factor;
 use crate::graph::Dag;
@@ -128,53 +126,6 @@ impl BayesNet {
     /// A topological order of the variables (parents first).
     pub fn topological_order(&self) -> Vec<usize> {
         self.dag.topological_order()
-    }
-}
-
-/// Lazily materialized CPD factors of one network, one slot per variable.
-///
-/// [`BayesNet::factors`] re-walks every CPD (tree CPDs pay a
-/// per-parent-configuration tree walk) each call; anything that builds
-/// inference structures repeatedly over the same network — such as the
-/// query-evaluation networks unrolled per query — should share one cache
-/// instead.
-/// Slots fill on first use behind `OnceLock`, so concurrent builders share
-/// the result; materializations are counted as `bn.factor.materialize`.
-///
-/// The cache is keyed by variable index only: it must always be used with
-/// the network it was created for (same CPDs), which the caller owns.
-#[derive(Debug, Default)]
-pub struct CpdFactorCache {
-    slots: Vec<OnceLock<Arc<Factor>>>,
-}
-
-impl CpdFactorCache {
-    /// An empty cache for a network of `n` variables.
-    pub fn new(n: usize) -> Self {
-        CpdFactorCache { slots: (0..n).map(|_| OnceLock::new()).collect() }
-    }
-
-    /// An empty cache shaped like `bn`.
-    pub fn for_net(bn: &BayesNet) -> Self {
-        CpdFactorCache::new(bn.len())
-    }
-
-    /// The factor `P(v | Pa_v)` of `bn`, materialized on first use and
-    /// shared afterwards. `bn` must be the network this cache was shaped
-    /// from. Panics if the family is unset or `v` is out of range.
-    pub fn factor(&self, bn: &BayesNet, v: usize) -> Arc<Factor> {
-        self.slots[v]
-            .get_or_init(|| {
-                obs::counter!("bn.factor.materialize").inc();
-                let cpd = bn.cpds[v].as_ref().expect("network is incomplete");
-                Arc::new(cpd.to_factor(v, bn.dag.parents(v)))
-            })
-            .clone()
-    }
-
-    /// How many CPD factors have been materialized so far.
-    pub fn materialized(&self) -> usize {
-        self.slots.iter().filter(|slot| slot.get().is_some()).count()
     }
 }
 

@@ -150,7 +150,6 @@ OPTIONS (all commands):
   PRMSEL_DRIFT_RELEARN=D   per-row log-likelihood drift (nats) beyond which
                            the maintenance loop flags structural relearning
                            (default 0.5)
-  PRMSEL_PLAN_CACHE=N      resident compiled-plan capacity (default 64)
 
 `estimate` runs the degradation ladder (cached exact → uncached exact →
 AVI → uniform guess) and reports any degradation after the estimate;

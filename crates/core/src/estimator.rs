@@ -6,13 +6,13 @@
 //! compares error at equal `size_bytes()`.
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 use baselines::sample::JoinPath;
 use baselines::{
     AviEstimator, JoinSampleEstimator, MhistEstimator, SampleEstimator, WaveletEstimator,
 };
-use reldb::{Database, Domain, Pred, Query};
+use reldb::{Database, Domain, Query};
 
 use crate::error::{Error, Result};
 use crate::learn::{learn_prm, PrmLearnConfig};
@@ -20,7 +20,6 @@ use crate::plan::{FactorCache, FoldCache, PlanCache, PlanKey, QueryPlan};
 use crate::prm::Prm;
 use crate::qebn::QueryEvalBn;
 use crate::schema::SchemaInfo;
-use crate::swap::EpochCell;
 
 /// A selectivity estimator: maps a query to an estimated result size.
 ///
@@ -37,20 +36,13 @@ pub trait SelectivityEstimator: Sync {
     fn estimate(&self, query: &Query) -> Result<f64>;
 }
 
-/// Default for `PRMSEL_PAR_THRESHOLD`: projected batch cost (ns) below
-/// which `estimate_batch` stays on the caller's thread. Workers are now
-/// persistent parked threads (see `prmsel-par`), so dispatch costs a
-/// queue push + condvar wake (microseconds) instead of per-batch thread
-/// spawns (milliseconds); ~2 ms of projected work is where fan-out
-/// reliably pays for itself even on fast warm suites.
+/// Projected batch cost (ns) below which [`estimate_batch`] stays on the
+/// caller's thread. Workers are persistent parked threads (see
+/// `prmsel-par`), so dispatch costs a queue push + condvar wake
+/// (microseconds) instead of per-batch thread spawns (milliseconds);
+/// ~2 ms of projected work is where fan-out reliably pays for itself even
+/// on fast warm suites.
 pub const DEFAULT_PAR_THRESHOLD_NS: u64 = 2_000_000;
-
-fn par_threshold_ns() -> u64 {
-    std::env::var("PRMSEL_PAR_THRESHOLD")
-        .ok()
-        .and_then(|v| v.trim().parse::<u64>().ok())
-        .unwrap_or(DEFAULT_PAR_THRESHOLD_NS)
-}
 
 /// Estimates a batch of independent queries, returning the estimates in
 /// query order (first error wins, matching a serial loop). Queries share
@@ -59,17 +51,16 @@ fn par_threshold_ns() -> u64 {
 ///
 /// Small batches never reach the pool: the first query is timed as a
 /// cost probe, and when the projected remaining work lands under
-/// `PRMSEL_PAR_THRESHOLD` nanoseconds ([`DEFAULT_PAR_THRESHOLD_NS`]) the
-/// rest runs serially on the caller's thread — dispatch and cross-thread
-/// cache contention on a fast suite otherwise cost more than they buy
-/// (the small-batch regression where 4-thread throughput landed below
-/// 1-thread). The chosen path is counted in `par.batch.serial` /
+/// [`DEFAULT_PAR_THRESHOLD_NS`] the rest runs serially on the caller's
+/// thread — dispatch and cross-thread cache contention on a fast suite
+/// otherwise cost more than they buy (the small-batch regression where
+/// 4-thread throughput landed below 1-thread). The chosen path is counted in `par.batch.serial` /
 /// `par.batch.parallel`.
 pub fn estimate_batch<E: SelectivityEstimator + ?Sized>(
     estimator: &E,
     queries: &[Query],
 ) -> Result<Vec<f64>> {
-    estimate_batch_with_threshold(estimator, queries, par_threshold_ns())
+    estimate_batch_with_threshold(estimator, queries, DEFAULT_PAR_THRESHOLD_NS)
 }
 
 /// [`estimate_batch`] with an explicit serial-cutoff threshold (ns of
@@ -135,21 +126,6 @@ impl<T: SelectivityEstimator + ?Sized> SelectivityEstimator for Box<T> {
     }
 }
 
-/// Maps a predicate to matching dictionary codes using a captured domain.
-fn codes_for_pred(domain: &Domain, pred: &Pred) -> Vec<u32> {
-    match pred {
-        Pred::Eq { value, .. } => domain.code(value).into_iter().collect(),
-        Pred::In { values, .. } => {
-            let mut codes: Vec<u32> =
-                values.iter().filter_map(|v| domain.code(v)).collect();
-            codes.sort_unstable();
-            codes.dedup();
-            codes
-        }
-        Pred::Range { lo, hi, .. } => domain.codes_in_range(*lo, *hi),
-    }
-}
-
 /// Compact one-line rendering of a query for flight-recorder trace
 /// labels: joined tables plus the predicated attributes, e.g.
 /// `person JOIN house WHERE person.age, house.rooms`.
@@ -202,8 +178,8 @@ pub enum InferenceEngine {
 /// One immutable serving generation of the PRM estimator: the model, the
 /// schema snapshot it answers against, and every cache derived from them
 /// (CPD factors, compiled plans, fold constants). Epochs are published
-/// atomically through an [`EpochCell`] — an in-flight estimate pins the
-/// epoch it started on and finishes there, so a concurrent
+/// atomically by replacing one `Arc` under a lock — an in-flight estimate
+/// pins the epoch it started on and finishes there, so a concurrent
 /// [`PrmEstimator::replace_model`] can never mix old parameters with new
 /// plans (or vice versa) mid-query.
 #[derive(Debug)]
@@ -225,7 +201,7 @@ impl ModelEpoch {
             factors: FactorCache::new(&prm),
             prm,
             schema,
-            plans: PlanCache::with_default_capacity(),
+            plans: PlanCache::new(),
             folds: FoldCache::new(),
             seq,
             created_ms: obs::timeseries::now_ms(),
@@ -284,9 +260,10 @@ impl ModelEpoch {
 /// are compiled once into replayable plans ([`PlanCache`]) — see
 /// [`crate::plan`]. Cached and uncached estimates are bit-identical.
 ///
-/// Model state lives in an immutable [`ModelEpoch`] behind an
-/// [`EpochCell`], so [`replace_model`](PrmEstimator::replace_model)
-/// works through `&self` and hot-swaps the model under live traffic: the
+/// Model state lives in an immutable [`ModelEpoch`] behind a
+/// `Mutex<Arc<ModelEpoch>>` whose critical section is one `Arc` clone or
+/// replace, so [`replace_model`](PrmEstimator::replace_model) works
+/// through `&self` and hot-swaps the model under live traffic: the
 /// new epoch is fully built (factors materialized, hot templates
 /// recompiled) *before* it is published, and in-flight estimates finish
 /// on the epoch they started with.
@@ -294,7 +271,7 @@ impl ModelEpoch {
 pub struct PrmEstimator {
     name: String,
     engine: InferenceEngine,
-    epochs: EpochCell<ModelEpoch>,
+    epoch: Mutex<Arc<ModelEpoch>>,
 }
 
 impl PrmEstimator {
@@ -304,7 +281,7 @@ impl PrmEstimator {
         PrmEstimator {
             name,
             engine: InferenceEngine::Exact,
-            epochs: EpochCell::new(epoch),
+            epoch: Mutex::new(Arc::new(epoch)),
         }
     }
 
@@ -350,12 +327,16 @@ impl PrmEstimator {
     /// and caches together: hold it across related calls when a
     /// consistent view matters (a later `epoch()` may observe a swap).
     pub fn epoch(&self) -> Arc<ModelEpoch> {
-        self.epochs.load()
+        Arc::clone(&self.lock_epoch())
     }
 
     /// The current epoch sequence number (starts at 1, +1 per swap).
     pub fn epoch_seq(&self) -> u64 {
-        self.epochs.seq()
+        self.lock_epoch().seq
+    }
+
+    fn lock_epoch(&self) -> std::sync::MutexGuard<'_, Arc<ModelEpoch>> {
+        self.epoch.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Publishes a refreshed model (and schema snapshot) as a new epoch —
@@ -368,44 +349,44 @@ impl PrmEstimator {
     /// from stale plans because plans live inside their epoch.
     pub fn replace_model(&self, prm: Prm, schema: SchemaInfo) {
         let _span = obs::span("prm.swap");
-        let old = self.epochs.load();
-        let next = ModelEpoch::new(prm, schema, old.seq + 1);
-        next.plans.set_capacity(old.plans.capacity());
+        let old = self.epoch();
+        let next = ModelEpoch::new(prm, schema, 0);
         // Warm the new epoch with the old epoch's hot templates so the
         // first post-swap estimate of each stays on the replay path.
         next.precompile(&old.plans.keys());
         next.precompile_from_env();
         obs::gauge!("prm.model.bytes").set(next.prm.size_bytes() as f64);
-        let seq = next.seq;
-        self.epochs.swap(Arc::new(next));
+        let mut next = Arc::new(next);
+        // The sequence is assigned under the lock, so racing writers still
+        // publish 1, 2, 3, … in order. The replaced epoch is dropped after
+        // the lock is released.
+        let (seq, _replaced) = {
+            let mut current = self.lock_epoch();
+            let seq = current.seq + 1;
+            Arc::get_mut(&mut next).expect("an unpublished epoch is unshared").seq = seq;
+            (seq, std::mem::replace(&mut *current, next))
+        };
         obs::counter!("prm.maintain.swaps").inc();
         crate::maintain::note_model_refreshed(seq);
     }
 
-    /// Caps the number of resident compiled plans (`0` disables plan
-    /// caching; every estimate then compiles and discards its plan). The
-    /// bound carries forward across [`replace_model`](Self::replace_model).
-    pub fn set_plan_cache_capacity(&self, capacity: usize) {
-        self.epochs.load().plans.set_capacity(capacity);
-    }
-
     /// Drops every compiled plan (cold-cache starting point for benches).
     pub fn clear_plan_cache(&self) {
-        self.epochs.load().plans.clear();
+        self.epoch().plans.clear();
     }
 
     /// Drops every resident plan's evidence-signature memo while keeping
     /// the plans themselves — the memo-*miss* starting point for benches:
     /// the next estimate replays the masked suffix but skips compilation.
     pub fn clear_reduce_memos(&self) {
-        self.epochs.load().plans.clear_reduce_memos();
+        self.epoch().plans.clear_reduce_memos();
     }
 
     /// The templates currently resident in the plan cache, most recently
     /// used first — the natural contents of a precompile manifest (see
     /// [`crate::save_manifest`]).
     pub fn plan_keys(&self) -> Vec<PlanKey> {
-        self.epochs.load().plans.keys()
+        self.epoch().plans.keys()
     }
 
     /// Compiles plans for `keys` ahead of queries (fanned out across the
@@ -414,30 +395,30 @@ impl PrmEstimator {
     /// are already resident or fail to compile are skipped. Returns the
     /// number of plans inserted.
     pub fn precompile(&self, keys: &[PlanKey]) -> usize {
-        self.epochs.load().precompile(keys)
+        self.epoch().precompile(keys)
     }
 
     /// Number of resident compiled plans.
     pub fn plan_cache_len(&self) -> usize {
-        self.epochs.load().plans.len()
+        self.epoch().plans.len()
     }
 
     /// Whether `query`'s template already has a resident plan.
     pub fn has_cached_plan(&self, query: &Query) -> bool {
-        self.epochs.load().plans.contains(&PlanKey::of(query))
+        self.epoch().plans.contains(&PlanKey::of(query))
     }
 
     /// Resident entries in the reduced-factor memo of `query`'s plan, or
     /// `None` when no plan is resident — introspection for tests and
     /// tools.
     pub fn reduce_memo_len(&self, query: &Query) -> Option<usize> {
-        self.epochs.load().plans.peek(query).map(|p| p.reduce_memo_len())
+        self.epoch().plans.peek(query).map(|p| p.reduce_memo_len())
     }
 
     /// Builds (without evaluating) the query-evaluation network — exposed
     /// for inspection and tests.
     pub fn unroll(&self, query: &Query) -> Result<QueryEvalBn> {
-        let ep = self.epochs.load();
+        let ep = self.epoch();
         Ok(QueryEvalBn::build(&ep.prm, &ep.schema, query)?)
     }
 
@@ -447,7 +428,7 @@ impl PrmEstimator {
     /// panic on the cached path, a fresh compile sidesteps any poisoned
     /// resident plan while still answering exactly.
     pub fn estimate_uncached(&self, query: &Query) -> Result<f64> {
-        let ep = self.epochs.load();
+        let ep = self.epoch();
         ep.schema.validate_query(query)?;
         let plan = QueryPlan::compile(&ep.prm, &ep.schema, &ep.factors, query)?;
         plan.estimate(&ep.schema, query)
@@ -458,7 +439,7 @@ impl PrmEstimator {
     /// a DBA would want when an optimizer picks a surprising plan.
     pub fn explain(&self, query: &Query) -> Result<String> {
         use std::fmt::Write;
-        let ep = self.epochs.load();
+        let ep = self.epoch();
         let qebn = QueryEvalBn::build(&ep.prm, &ep.schema, query)?;
         let p = bayesnet::probability_of_evidence(&qebn.bn, &qebn.evidence);
         let mut out = String::new();
@@ -496,7 +477,7 @@ impl SelectivityEstimator for PrmEstimator {
     }
 
     fn size_bytes(&self) -> usize {
-        self.epochs.load().prm.size_bytes()
+        self.epoch().prm.size_bytes()
     }
 
     fn estimate(&self, query: &Query) -> Result<f64> {
@@ -505,7 +486,7 @@ impl SelectivityEstimator for PrmEstimator {
         // Pin the serving epoch once: the whole estimate — validation,
         // plan lookup/compile, replay — runs against one consistent
         // (model, schema, caches) generation even if a swap lands now.
-        let ep = self.epochs.load();
+        let ep = self.epoch();
         ep.schema.validate_query(query)?;
         obs::flight::begin(|| query_label(query));
         // Template attribution is gated like the flight recorder: one
@@ -611,7 +592,7 @@ impl SelectivityEstimator for AviAdapter {
                         attr: p.attr().to_owned(),
                     })
                 })?;
-                Ok((p.attr().to_owned(), codes_for_pred(domain, p)))
+                Ok((p.attr().to_owned(), p.codes(domain)))
             })
             .collect::<Result<_>>()?;
         let est = self.inner.estimate(&preds);
@@ -681,7 +662,7 @@ impl SelectivityEstimator for MhistAdapter {
                     p.attr()
                 )))
             })?;
-            let codes = codes_for_pred(&self.domains[dim], p);
+            let codes = p.codes(&self.domains[dim]);
             allowed[dim].retain(|c| codes.contains(c));
         }
         let est = self.inner.estimate(&allowed);
@@ -751,7 +732,7 @@ impl SelectivityEstimator for WaveletAdapter {
                     p.attr()
                 )))
             })?;
-            let codes = codes_for_pred(&self.domains[dim], p);
+            let codes = p.codes(&self.domains[dim]);
             allowed[dim].retain(|c| codes.contains(c));
         }
         let est = self.inner.estimate(&allowed);
@@ -815,7 +796,7 @@ impl SelectivityEstimator for SampleAdapter {
                         attr: p.attr().to_owned(),
                     })
                 })?;
-                Ok((p.attr().to_owned(), codes_for_pred(domain, p)))
+                Ok((p.attr().to_owned(), p.codes(domain)))
             })
             .collect::<Result<_>>()?;
         let est = self.inner.estimate(&preds);
@@ -920,11 +901,139 @@ impl SelectivityEstimator for JoinSampleAdapter {
                         attr: key.1.clone(),
                     })
                 })?;
-                Ok((key, codes_for_pred(domain, p)))
+                Ok((key, p.codes(domain)))
             })
             .collect::<Result<_>>()?;
         let est = self.inner.estimate(&preds);
         obs::histogram!("est.join_sample.estimate.ns").record_duration(start.elapsed());
         Ok(est)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::mpsc;
+
+    use reldb::{Cell, DatabaseBuilder, TableBuilder, Value};
+
+    fn estimator() -> PrmEstimator {
+        let mut p = TableBuilder::new("parent").key("id").col("x");
+        for i in 0..20i64 {
+            p.push_row(vec![Cell::Key(i), Cell::Val(Value::Int(i % 2))]).unwrap();
+        }
+        let mut c = TableBuilder::new("child").key("id").fk("parent", "parent").col("y");
+        for i in 0..100i64 {
+            let target = (i * 7) % 20;
+            c.push_row(vec![
+                Cell::Key(i),
+                Cell::Key(target),
+                Cell::Val(Value::Int(i % 3)),
+            ])
+            .unwrap();
+        }
+        let db = DatabaseBuilder::new()
+            .add_table(p.finish().unwrap())
+            .add_table(c.finish().unwrap())
+            .finish()
+            .unwrap();
+        PrmEstimator::build(&db, &PrmLearnConfig::default()).unwrap()
+    }
+
+    /// Publishes a copy of the current model as the next epoch.
+    fn republish(est: &PrmEstimator) {
+        let (prm, schema) = {
+            let ep = est.epoch();
+            (ep.prm.clone(), ep.schema.clone())
+        };
+        est.replace_model(prm, schema);
+    }
+
+    #[test]
+    fn replace_model_raises_epoch_seq_by_one() {
+        let est = estimator();
+        assert_eq!(est.epoch_seq(), 1);
+        for seq in 2..=4 {
+            republish(&est);
+            assert_eq!(est.epoch_seq(), seq);
+            assert_eq!(est.epoch().seq(), seq);
+        }
+    }
+
+    #[test]
+    fn epoch_reads_share_one_arc_until_a_swap() {
+        let est = estimator();
+        let a = est.epoch();
+        assert!(Arc::ptr_eq(&a, &est.epoch()));
+        republish(&est);
+        assert!(!Arc::ptr_eq(&a, &est.epoch()));
+    }
+
+    #[test]
+    fn pinned_epoch_stays_alive_until_released() {
+        let est = estimator();
+        let pinned = est.epoch();
+        let old = Arc::downgrade(&pinned);
+        republish(&est);
+        assert!(old.upgrade().is_some(), "a pinned reader keeps its epoch alive");
+        drop(pinned);
+        assert!(old.upgrade().is_none(), "the old epoch is freed on last release");
+    }
+
+    #[test]
+    fn idle_reader_thread_does_not_keep_a_replaced_epoch_alive() {
+        let est = Arc::new(estimator());
+        let done = Arc::new(AtomicBool::new(false));
+        let (read, was_read) = mpsc::channel();
+        let reader = {
+            let (est, done) = (est.clone(), done.clone());
+            std::thread::spawn(move || {
+                drop(est.epoch());
+                read.send(()).unwrap();
+                while !done.load(Ordering::Acquire) {
+                    std::thread::park();
+                }
+            })
+        };
+        was_read.recv().unwrap();
+        let old = Arc::downgrade(&est.epoch());
+        republish(&est);
+        drop(est.epoch());
+        let leaked = old.upgrade().is_some();
+        done.store(true, Ordering::Release);
+        reader.thread().unpark();
+        reader.join().unwrap();
+        assert!(!leaked, "a parked thread that dropped its epoch must not pin it");
+    }
+
+    #[test]
+    fn concurrent_readers_never_see_the_epoch_seq_go_backwards() {
+        let est = Arc::new(estimator());
+        let stop = Arc::new(AtomicBool::new(false));
+        let readers: Vec<_> = (0..4)
+            .map(|_| {
+                let (est, stop) = (est.clone(), stop.clone());
+                std::thread::spawn(move || {
+                    let mut last = 0;
+                    while !stop.load(Ordering::Relaxed) {
+                        let seq = est.epoch().seq();
+                        assert!(seq >= last, "epoch seq went back from {last} to {seq}");
+                        last = seq;
+                        let seq = est.epoch_seq();
+                        assert!(seq >= last, "epoch seq went back from {last} to {seq}");
+                        last = seq;
+                    }
+                })
+            })
+            .collect();
+        for _ in 0..20 {
+            republish(&est);
+        }
+        stop.store(true, Ordering::Relaxed);
+        for r in readers {
+            r.join().unwrap();
+        }
+        assert_eq!(est.epoch_seq(), 21);
     }
 }

@@ -56,7 +56,7 @@
 //! | [`prm`] | §3.2 | the PRM model type: attribute CPDs, join indicators |
 //! | [`learn`] | §4 | greedy budgeted structure search (SSN / MDL / naive) |
 //! | [`qebn`] | §3.3 | upward closure + query-evaluation BN + inference |
-//! | [`plan`] | §3.3–3.5 | compile-once online path: factor cache, plan cache |
+//! | [`plan`] | §3.3–3.5 | compile-once online path: factor, fold and plan caches, `P(E)` memo |
 //! | [`estimator`] | §5 | one trait over PRM, BN+UJ, AVI, MHIST, SAMPLE |
 //! | [`metrics`] | §5 | adjusted relative error, suite evaluation |
 //! | [`largedomain`] | §2.3 | discretization of wide ordinal domains |
@@ -84,7 +84,6 @@ pub mod prm;
 pub mod qebn;
 pub mod resilient;
 pub mod schema;
-pub mod swap;
 
 pub use delta::{DeltaRow, DeltaState, TableDelta, UpdateBatch};
 pub use error::{BudgetKind, Error, ErrorClass, Result};
@@ -112,7 +111,6 @@ pub use prm::{JiParentRef, ParentRef, Prm};
 pub use qebn::{NodeSource, QueryEvalBn};
 pub use resilient::{Outcome, ResilientEstimator, Rung};
 pub use schema::SchemaInfo;
-pub use swap::EpochCell;
 
 // Re-export the knobs callers tune.
 pub use bayesnet::learn::treecpd::TreeGrowOptions;

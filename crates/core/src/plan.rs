@@ -24,16 +24,19 @@
 //!   as plan constants; the per-query replay runs only the
 //!   evidence-dependent suffix of the elimination (for a typical
 //!   single-predicate query over a deep ancestor closure that is one or
-//!   two kernel calls out of a dozen);
+//!   two kernel calls out of a dozen); [`FoldCache`] interns the folded
+//!   buffers by content, so templates with the same folded prefix share
+//!   one copy;
 //! * a per-plan **signature memo** — decoded predicate masks key a
-//!   bounded LRU of final `P(E)` scalars, so repeating the same constants
+//!   4096-entry LRU of final `P(E)` scalars, so repeating the same constants
 //!   skips both the reduce pass and the replay entirely
 //!   (`prm.plan.reduce.hit`/`.miss`); budget checks and the
 //!   `infer.eliminate` failpoint still run on hits, so error behavior is
 //!   signature-independent;
-//! * [`PlanCache`] — a bounded LRU of compiled plans hung off
-//!   [`crate::PrmEstimator`], keyed by the allocation-free stable template
-//!   hash with field-wise verification against the live query.
+//! * [`PlanCache`] — an LRU of at most [`PLAN_CACHE_CAPACITY`] (64)
+//!   compiled plans in each [`crate::ModelEpoch`], keyed by the
+//!   allocation-free stable template hash with field-wise verification
+//!   against the live query.
 //!
 //! ## The zero-allocation warm path
 //!
@@ -135,16 +138,6 @@ impl FactorCache {
         })
         .clone()
     }
-
-    /// How many CPD factors have been materialized so far.
-    pub fn materialized(&self) -> usize {
-        self.attrs
-            .iter()
-            .chain(self.jis.iter())
-            .flatten()
-            .filter(|slot| slot.get().is_some())
-            .count()
-    }
 }
 
 /// The *template* of a query: its tuple variables, join skeleton, and
@@ -181,47 +174,23 @@ impl PlanKey {
     /// `template="<16 hex digits>"` label on per-template quality
     /// histograms) and remain joinable across scrapes and restarts.
     pub fn stable_hash(&self) -> u64 {
-        let mut h = Fnv::new();
-        h.write_usize(self.vars.len());
-        for v in &self.vars {
-            h.write_str(v);
-        }
-        h.write_usize(self.joins.len());
-        for (child, fk, parent) in &self.joins {
-            h.write_usize(*child);
-            h.write_str(fk);
-            h.write_usize(*parent);
-        }
-        h.write_usize(self.preds.len());
-        for (var, attr) in &self.preds {
-            h.write_usize(*var);
-            h.write_str(attr);
-        }
-        h.finish()
+        template_hash(
+            self.vars.iter().map(String::as_str),
+            self.joins.iter().map(|(c, fk, p)| (*c, fk.as_str(), *p)),
+            self.preds.iter().map(|(v, a)| (*v, a.as_str())),
+        )
     }
 
     /// [`PlanKey::stable_hash`] computed straight from `query` without
     /// building the key — the allocation-free form the warm lookup and
-    /// telemetry paths use. Guaranteed equal to
-    /// `PlanKey::of(query).stable_hash()`.
+    /// telemetry paths use. Equal to `PlanKey::of(query).stable_hash()`:
+    /// both feed the same fields to one hash body.
     pub fn stable_hash_of(query: &Query) -> u64 {
-        let mut h = Fnv::new();
-        h.write_usize(query.vars.len());
-        for v in &query.vars {
-            h.write_str(v);
-        }
-        h.write_usize(query.joins.len());
-        for j in &query.joins {
-            h.write_usize(j.child);
-            h.write_str(&j.fk_attr);
-            h.write_usize(j.parent);
-        }
-        h.write_usize(query.preds.len());
-        for p in &query.preds {
-            h.write_usize(p.var());
-            h.write_str(p.attr());
-        }
-        h.finish()
+        template_hash(
+            query.vars.iter().map(String::as_str),
+            query.joins.iter().map(|j| (j.child, j.fk_attr.as_str(), j.parent)),
+            query.preds.iter().map(|p| (p.var(), p.attr())),
+        )
     }
 
     /// A synthetic query carrying this template's structure with no
@@ -258,7 +227,7 @@ impl PlanKey {
     /// Field-wise template equality against a live query — the
     /// allocation-free counterpart of `self == PlanKey::of(query)`, used
     /// to verify a stable-hash bucket match on the warm path.
-    fn matches(&self, query: &Query) -> bool {
+    pub fn matches(&self, query: &Query) -> bool {
         self.vars.len() == query.vars.len()
             && self.vars.iter().zip(&query.vars).all(|(a, b)| a == b)
             && self.joins.len() == query.joins.len()
@@ -272,6 +241,34 @@ impl PlanKey {
                 .zip(&query.preds)
                 .all(|((v, a), p)| *v == p.var() && a == p.attr())
     }
+}
+
+/// The one body behind [`PlanKey::stable_hash`] and
+/// [`PlanKey::stable_hash_of`]: FNV-1a over the template's vars, joins
+/// `(child, fk, parent)` and predicate slots `(var, attr)`, each list
+/// length-prefixed.
+fn template_hash<'a>(
+    vars: impl ExactSizeIterator<Item = &'a str>,
+    joins: impl ExactSizeIterator<Item = (usize, &'a str, usize)>,
+    preds: impl ExactSizeIterator<Item = (usize, &'a str)>,
+) -> u64 {
+    let mut h = Fnv::new();
+    h.write_usize(vars.len());
+    for v in vars {
+        h.write_str(v);
+    }
+    h.write_usize(joins.len());
+    for (child, fk, parent) in joins {
+        h.write_usize(child);
+        h.write_str(fk);
+        h.write_usize(parent);
+    }
+    h.write_usize(preds.len());
+    for (var, attr) in preds {
+        h.write_usize(var);
+        h.write_str(attr);
+    }
+    h.finish()
 }
 
 /// FNV-1a, 64-bit: tiny, allocation-free, and stable across platforms —
@@ -398,13 +395,6 @@ impl<T> LruSlab<T> {
         };
         self.push_front(idx);
         self.buckets.entry(hash).or_default().push(idx);
-    }
-
-    fn set_capacity(&mut self, capacity: usize, on_evict: &mut impl FnMut(&T)) {
-        self.capacity = capacity;
-        while self.len() > capacity {
-            self.evict_tail(on_evict);
-        }
     }
 
     fn clear(&mut self) {
@@ -567,10 +557,9 @@ impl ReducedMemo {
     }
 }
 
-/// Default signature-memo capacity (entries per plan) when
-/// `PRMSEL_REDUCE_MEMO` is unset. An entry is one mask vector plus one
-/// scalar — roughly a hundred bytes — so the default is sized generously
-/// enough to hold every constant ever issued against most templates
+/// Signature-memo capacity (entries per plan). An entry is one mask
+/// vector plus one scalar — roughly a hundred bytes — so the capacity is
+/// sized generously enough to hold every constant ever issued against most templates
 /// (a template with eq predicates on two attributes of cardinality ~30
 /// has ~900 reachable signatures; LRU degrades to 0% hits on cyclic
 /// workloads that exceed the capacity, so headroom matters more than
@@ -582,10 +571,11 @@ const MEMO_UNSET: usize = usize::MAX;
 
 static REDUCE_MEMO_OVERRIDE: AtomicUsize = AtomicUsize::new(MEMO_UNSET);
 
-/// Overrides the per-plan reduced-factor memo capacity process-wide for
-/// plans compiled *after* the call; `None` reverts to the environment
-/// (`PRMSEL_REDUCE_MEMO`, default [`DEFAULT_REDUCE_MEMO_CAPACITY`]).
-/// Capacity `0` disables memoization (every estimate re-reduces).
+/// Test hook: overrides the per-plan reduced-factor memo capacity
+/// process-wide for plans compiled *after* the call; `None` restores
+/// [`DEFAULT_REDUCE_MEMO_CAPACITY`]. Capacity `0` disables memoization
+/// (every estimate replays). No production caller sets it; it exists for
+/// the zero-allocation memo-miss gate and the memo-bound tests.
 pub fn set_reduce_memo_capacity(capacity: Option<usize>) {
     REDUCE_MEMO_OVERRIDE
         .store(capacity.map_or(MEMO_UNSET, |c| c.min(MEMO_UNSET - 1)), Ordering::Relaxed);
@@ -593,16 +583,7 @@ pub fn set_reduce_memo_capacity(capacity: Option<usize>) {
 
 fn reduce_memo_capacity() -> usize {
     match REDUCE_MEMO_OVERRIDE.load(Ordering::Relaxed) {
-        MEMO_UNSET => {
-            static CACHE: OnceLock<Option<usize>> = OnceLock::new();
-            CACHE
-                .get_or_init(|| {
-                    std::env::var("PRMSEL_REDUCE_MEMO")
-                        .ok()
-                        .and_then(|v| v.trim().parse::<usize>().ok())
-                })
-                .unwrap_or(DEFAULT_REDUCE_MEMO_CAPACITY)
-        }
+        MEMO_UNSET => DEFAULT_REDUCE_MEMO_CAPACITY,
         v => v,
     }
 }
@@ -1427,11 +1408,6 @@ impl QueryPlan {
         self.memo.lock().len()
     }
 
-    /// The memo capacity this plan was compiled with.
-    pub fn reduce_memo_capacity(&self) -> usize {
-        self.memo_capacity
-    }
-
     /// Drops every memoized signature, forcing the next estimate of each
     /// constant set down the replay (memo-miss) path — used by benches to
     /// measure miss latency and by tests.
@@ -1531,27 +1507,6 @@ impl FoldCache {
         bucket.push(arc.clone());
         arc
     }
-
-    /// Number of distinct interned buffers.
-    pub fn len(&self) -> usize {
-        self.inner
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .values()
-            .map(Vec::len)
-            .sum()
-    }
-
-    /// True when nothing is interned.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Drops every interned buffer (plans already holding one keep their
-    /// `Arc`; used on model replacement).
-    pub fn clear(&self) {
-        self.inner.lock().unwrap_or_else(PoisonError::into_inner).clear();
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -1583,8 +1538,8 @@ pub struct PlanCache {
     inner: Mutex<LruSlab<PlanEntry>>,
 }
 
-/// Default plan-cache capacity when `PRMSEL_PLAN_CACHE` is unset.
-pub const DEFAULT_PLAN_CACHE_CAPACITY: usize = 64;
+/// Plan-cache capacity (resident plans per model epoch).
+pub const PLAN_CACHE_CAPACITY: usize = 64;
 
 /// Recomputes the `prm.plan.hit_ratio` gauge — hits / (hits + misses) —
 /// from the process-global counters. Called on every lookup, so any
@@ -1615,23 +1570,12 @@ fn count_evict(_: &PlanEntry) {
 }
 
 impl PlanCache {
-    /// A cache holding at most `capacity` plans; `0` disables caching
-    /// (every call compiles, nothing is stored).
-    pub fn new(capacity: usize) -> Self {
+    /// An empty cache holding at most [`PLAN_CACHE_CAPACITY`] plans.
+    pub(crate) fn new() -> Self {
         // Register the precompile counter up front so snapshots show an
         // explicit 0 when no manifest was loaded.
         obs::counter!("prm.plan.precompiled").add(0);
-        PlanCache { inner: Mutex::new(LruSlab::new(capacity)) }
-    }
-
-    /// Capacity from the `PRMSEL_PLAN_CACHE` environment variable, else
-    /// [`DEFAULT_PLAN_CACHE_CAPACITY`].
-    pub fn with_default_capacity() -> Self {
-        let capacity = std::env::var("PRMSEL_PLAN_CACHE")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .unwrap_or(DEFAULT_PLAN_CACHE_CAPACITY);
-        PlanCache::new(capacity)
+        PlanCache { inner: Mutex::new(LruSlab::new(PLAN_CACHE_CAPACITY)) }
     }
 
     /// The cached plan for `query`'s template, or the result of `compile`,
@@ -1667,9 +1611,6 @@ impl PlanCache {
         obs::histogram!("prm.plan.compile.ns").record_duration(start.elapsed());
         drop(compile_phase);
         let mut inner = self.lock();
-        if inner.capacity == 0 {
-            return Ok((plan, false));
-        }
         if let Some(entry) = inner.get(hash, |e| e.key.matches(query)) {
             // Lost a compile race: adopt the resident plan (already
             // promoted by the lookup).
@@ -1731,9 +1672,6 @@ impl PlanCache {
         folds: &FoldCache,
         keys: &[PlanKey],
     ) -> usize {
-        if self.lock().capacity == 0 {
-            return 0;
-        }
         let todo: Vec<PlanKey> =
             keys.iter().filter(|k| !self.contains(k)).cloned().collect();
         if todo.is_empty() {
@@ -1749,9 +1687,6 @@ impl PlanCache {
         // up most recently used.
         for (key, plan) in todo.into_iter().zip(compiled).rev() {
             let Some(plan) = plan else { continue };
-            if inner.capacity == 0 {
-                break;
-            }
             if inner.peek(key.stable_hash(), |e| e.key == key).is_none() {
                 inner.insert(
                     key.stable_hash(),
@@ -1781,17 +1716,6 @@ impl PlanCache {
     /// never replay factor data reduced under the old parameters.
     pub fn clear(&self) {
         self.lock().clear();
-    }
-
-    /// Changes the capacity, evicting stalest plans if over the new
-    /// bound. Capacity `0` clears the cache and disables it.
-    pub fn set_capacity(&self, capacity: usize) {
-        self.lock().set_capacity(capacity, &mut count_evict);
-    }
-
-    /// The current capacity bound (maximum resident plans).
-    pub fn capacity(&self) -> usize {
-        self.lock().capacity
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, LruSlab<PlanEntry>> {
@@ -1834,17 +1758,5 @@ mod tests {
         lru.insert(1, 10, &mut |_| {});
         assert_eq!(lru.len(), 0);
         assert!(lru.get(1, |_| true).is_none());
-    }
-
-    #[test]
-    fn lru_slab_set_capacity_trims_stalest() {
-        let mut lru: LruSlab<u32> = LruSlab::new(4);
-        for i in 0..4u64 {
-            lru.insert(i, i as u32, &mut |_| {});
-        }
-        let mut evicted = Vec::new();
-        lru.set_capacity(2, &mut |&v| evicted.push(v));
-        assert_eq!(evicted, vec![0, 1]);
-        assert_eq!(lru.len(), 2);
     }
 }

@@ -22,7 +22,7 @@
 use std::collections::HashMap;
 
 use bayesnet::{probability_of_evidence, BayesNet, Evidence};
-use reldb::{Error, Pred, Query, Result};
+use reldb::{Error, Query, Result};
 
 use crate::prm::{JiParentRef, ParentRef, Prm};
 use crate::schema::SchemaInfo;
@@ -75,10 +75,6 @@ pub struct QueryEvalBn {
     /// Join-indicator node ids (evidence fixes them to `J = true`),
     /// ascending.
     pub ji_nodes: Vec<usize>,
-    /// Per-node CPD factor cache for the sampling path: likelihood
-    /// weighting materializes each CPD once per unrolled network instead
-    /// of once per sample.
-    cpd_cache: bayesnet::CpdFactorCache,
 }
 
 impl QueryEvalBn {
@@ -100,16 +96,8 @@ impl QueryEvalBn {
     pub fn estimated_size_approx(&self, prm: &Prm, samples: usize, seed: u64) -> f64 {
         use rand::SeedableRng;
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        // The cached variant draws bit-identical samples (the factor view
-        // of a CPD row is the same `f64` slice) while materializing each
-        // CPD once per network instead of once per sample.
-        let p = bayesnet::likelihood_weighting_cached(
-            &self.bn,
-            &self.evidence,
-            samples,
-            &mut rng,
-            &self.cpd_cache,
-        );
+        let p =
+            bayesnet::likelihood_weighting(&self.bn, &self.evidence, samples, &mut rng);
         self.scale(prm, p)
     }
 
@@ -281,7 +269,7 @@ impl<'a> Builder<'a> {
             let a = self.schema.attr_index(t, pred.attr())?;
             let id = self.node_ids[&NodeKey::Attr(pred.var(), a)];
             let card = self.prm.tables[t].attrs[a].card;
-            let codes = pred_codes(self.schema, t, pred)?;
+            let codes = pred.codes(self.schema.domain(t, pred.attr())?);
             evidence.isin(id, &codes, card);
             pred_nodes.push(id);
         }
@@ -308,7 +296,6 @@ impl<'a> Builder<'a> {
             .filter(|(_, key)| matches!(key, NodeKey::Ji(..)))
             .map(|(id, _)| id)
             .collect();
-        let cpd_cache = bayesnet::CpdFactorCache::new(bn.len());
         Ok(QueryEvalBn {
             bn,
             evidence,
@@ -316,32 +303,8 @@ impl<'a> Builder<'a> {
             node_sources,
             pred_nodes,
             ji_nodes,
-            cpd_cache,
         })
     }
-}
-
-/// Resolves a predicate to the allowed dictionary codes of `table.attr`'s
-/// domain (an empty vector means unsatisfiable against this database).
-/// Shared by the one-shot builder above and the plan replay path, which
-/// must decode predicate values identically.
-pub(crate) fn pred_codes(
-    schema: &SchemaInfo,
-    table: usize,
-    pred: &Pred,
-) -> Result<Vec<u32>> {
-    let domain = schema.domain(table, pred.attr())?;
-    Ok(match pred {
-        Pred::Eq { value, .. } => domain.code(value).into_iter().collect(),
-        Pred::In { values, .. } => {
-            let mut codes: Vec<u32> =
-                values.iter().filter_map(|v| domain.code(v)).collect();
-            codes.sort_unstable();
-            codes.dedup();
-            codes
-        }
-        Pred::Range { lo, hi, .. } => domain.codes_in_range(*lo, *hi),
-    })
 }
 
 impl SchemaInfo {

@@ -36,7 +36,6 @@ use reldb::{Database, Query};
 
 use crate::error::{BudgetKind, Error, ErrorClass, Result};
 use crate::estimator::{AviAdapter, PrmEstimator, SelectivityEstimator};
-use crate::qebn::pred_codes;
 
 /// Which rung of the ladder produced an outcome.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -260,8 +259,9 @@ impl ResilientEstimator {
         }
         for pred in &query.preds {
             let table = tables[pred.var()];
-            let card = schema.domain(table, pred.attr())?.card().max(1);
-            let allowed = pred_codes(schema, table, pred)?.len();
+            let domain = schema.domain(table, pred.attr())?;
+            let card = domain.card().max(1);
+            let allowed = pred.codes(domain).len();
             size *= allowed as f64 / card as f64;
         }
         Ok(size)

@@ -11,7 +11,7 @@ use prmsel::prm::{
     AttrModel, JiParentRef, JoinIndicatorModel, ParentRef, Prm, TableModel,
 };
 use prmsel::schema::{FkInfo, SchemaInfo, TableInfo};
-use prmsel::{estimate_batch, PrmEstimator, SelectivityEstimator};
+use prmsel::{estimate_batch, PlanKey, PrmEstimator, SelectivityEstimator};
 use proptest::prelude::*;
 use reldb::{Domain, Query, Value};
 
@@ -246,6 +246,14 @@ proptest! {
             }
         }
     }
+
+    #[test]
+    fn plan_key_hash_forms_agree_and_template_round_trips(q in arb_query()) {
+        let k = PlanKey::of(&q);
+        prop_assert_eq!(k.stable_hash(), PlanKey::stable_hash_of(&q));
+        prop_assert!(k.matches(&q));
+        prop_assert_eq!(PlanKey::of(&k.to_template_query()), k);
+    }
 }
 
 /// Three distinct single-table templates (they differ in the predicate
@@ -283,21 +291,40 @@ fn fixed_estimator(seed: u32) -> PrmEstimator {
     PrmEstimator::from_parts(prm, schema, "PRM")
 }
 
+/// 65 distinct single-table templates, one more than the plan cache
+/// holds: template `i` is the sequence of `y0`/`y1` equality predicates
+/// spelled by the binary digits of `i + 2` after its leading one.
+fn many_templates() -> Vec<Query> {
+    (2u32..=66)
+        .map(|n| {
+            let mut b = Query::builder();
+            let c = b.var("child");
+            for bit in (0..n.ilog2()).rev() {
+                b.eq(c, if n >> bit & 1 == 1 { "y1" } else { "y0" }, 0);
+            }
+            b.build()
+        })
+        .collect()
+}
+
 #[test]
 fn lru_evicts_the_least_recently_used_template() {
     let est = fixed_estimator(7);
-    est.set_plan_cache_capacity(2);
-    let [a, b, c] = templates();
-    est.estimate(&a).unwrap();
-    est.estimate(&b).unwrap();
-    assert_eq!(est.plan_cache_len(), 2);
-    // Touch A so B becomes the LRU entry, then insert C.
-    est.estimate(&a).unwrap();
-    est.estimate(&c).unwrap();
-    assert_eq!(est.plan_cache_len(), 2);
-    assert!(est.has_cached_plan(&a), "recently used plan must survive");
-    assert!(est.has_cached_plan(&c), "newest plan must be resident");
-    assert!(!est.has_cached_plan(&b), "LRU plan must be evicted");
+    let t = many_templates();
+    for q in &t[..64] {
+        est.estimate(q).unwrap();
+    }
+    assert_eq!(est.plan_cache_len(), 64);
+    // Touch the first template so the second becomes the LRU entry, then
+    // insert the 65th.
+    est.estimate(&t[0]).unwrap();
+    est.estimate(&t[64]).unwrap();
+    assert_eq!(est.plan_cache_len(), 64);
+    assert!(est.has_cached_plan(&t[0]), "recently used plan must survive");
+    assert!(est.has_cached_plan(&t[64]), "newest plan must be resident");
+    assert!(!est.has_cached_plan(&t[1]), "LRU plan must be evicted");
+    // The evicted template recompiles to the same bits.
+    assert_eq!(est.estimate(&t[1]).unwrap().to_bits(), uncached(&est, &t[1]).to_bits());
 }
 
 #[test]
@@ -315,17 +342,6 @@ fn same_template_different_constants_share_one_plan() {
         assert_eq!(got.to_bits(), uncached(&est, &q).to_bits(), "v={v}");
     }
     assert_eq!(est.plan_cache_len(), 1, "constants must not fragment the cache");
-}
-
-#[test]
-fn zero_capacity_disables_caching_but_stays_exact() {
-    let est = fixed_estimator(13);
-    est.set_plan_cache_capacity(0);
-    let [a, ..] = templates();
-    let got = est.estimate(&a).unwrap();
-    assert_eq!(got.to_bits(), uncached(&est, &a).to_bits());
-    assert_eq!(est.plan_cache_len(), 0);
-    assert!(!est.has_cached_plan(&a));
 }
 
 #[test]

@@ -65,8 +65,14 @@ impl Pred {
     /// `table.attr`'s domain. An empty vector means the predicate is
     /// unsatisfiable against this database.
     pub fn matching_codes(&self, db: &Database, table: &str) -> Result<Vec<u32>> {
-        let domain = db.table(table)?.domain(self.attr())?;
-        Ok(match self {
+        Ok(self.codes(db.table(table)?.domain(self.attr())?))
+    }
+
+    /// The matching dictionary codes of `domain` (the predicated
+    /// attribute's domain), ascending and deduplicated. An empty vector
+    /// means the predicate is unsatisfiable.
+    pub fn codes(&self, domain: &crate::table::Domain) -> Vec<u32> {
+        match self {
             Pred::Eq { value, .. } => domain.code(value).into_iter().collect(),
             Pred::In { values, .. } => {
                 let mut codes: Vec<u32> =
@@ -76,7 +82,7 @@ impl Pred {
                 codes
             }
             Pred::Range { lo, hi, .. } => domain.codes_in_range(*lo, *hi),
-        })
+        }
     }
 
     /// Writes the predicate's allowed-code mask into `mask` (one slot per
