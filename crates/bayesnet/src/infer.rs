@@ -9,70 +9,18 @@
 //! Irrelevant variables are pruned first (only the evidence variables and
 //! their ancestors matter; every other CPD sums to one), then variables
 //! are eliminated greedily by the min-weight heuristic.
+//!
+//! This is the plain reference path. `prmsel::plan` compiles the same
+//! [`elimination_order`] into a replay program, which also carries the
+//! width and deadline guards, the `infer.eliminate` failpoint and the
+//! kernel metrics; its proptests compare the replay's answers with
+//! [`probability_of_evidence`] by `f64::to_bits`.
 
-use std::borrow::Cow;
 use std::collections::BTreeMap;
-use std::fmt;
-use std::time::Instant;
 
 use crate::factor::Factor;
 use crate::network::BayesNet;
 use crate::varset::VarSet;
-
-/// Resource limits enforced during variable elimination.
-///
-/// The paper's §3.3 claim is that query-evaluation networks stay small, so
-/// the default is [`InferBudget::unlimited`] and the guarded path costs two
-/// `Option` checks per elimination step. When a limit *is* set, the width
-/// check projects the size of the next intermediate factor from scopes
-/// alone — before any cell is allocated — so a blowup is refused, not
-/// survived.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct InferBudget {
-    /// Maximum cells any intermediate factor may hold.
-    pub max_cells: Option<u64>,
-    /// Absolute wall-clock deadline for the whole elimination.
-    pub deadline: Option<Instant>,
-}
-
-impl InferBudget {
-    /// No limits: the guarded path behaves exactly like the unguarded one.
-    pub fn unlimited() -> Self {
-        Self::default()
-    }
-
-    /// True when neither limit is set.
-    pub fn is_unlimited(&self) -> bool {
-        self.max_cells.is_none() && self.deadline.is_none()
-    }
-}
-
-/// Why a guarded elimination refused to continue.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum InferAbort {
-    /// Eliminating `var` would materialize an intermediate factor of
-    /// `cells` cells, over the `budget` limit.
-    Width { var: usize, cells: u64, budget: u64 },
-    /// The wall-clock deadline passed before elimination finished.
-    Deadline,
-    /// An injected fault (the `infer.eliminate` failpoint) fired.
-    Fault(String),
-}
-
-impl fmt::Display for InferAbort {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            InferAbort::Width { var, cells, budget } => write!(
-                f,
-                "eliminating node {var} needs a {cells}-cell factor (budget {budget})"
-            ),
-            InferAbort::Deadline => write!(f, "elimination deadline passed"),
-            InferAbort::Fault(msg) => write!(f, "{msg}"),
-        }
-    }
-}
-
-impl std::error::Error for InferAbort {}
 
 /// Evidence: per-variable masks of allowed values.
 #[derive(Debug, Clone, Default)]
@@ -145,7 +93,6 @@ impl Evidence {
 /// Panics if the network is incomplete or an evidence mask has the wrong
 /// length for its variable.
 pub fn probability_of_evidence(bn: &BayesNet, evidence: &Evidence) -> f64 {
-    obs::counter!("bn.infer.queries").inc();
     if evidence.is_empty() {
         return 1.0;
     }
@@ -194,32 +141,19 @@ fn reduced_relevant_factors(
 /// variable in `elim`, and returns the resulting scalar.
 ///
 /// Factors whose scope mentions variables outside `elim` are not supported
-/// here — the selectivity workload always eliminates everything. This is
-/// the uncached path: it derives the [`elimination_order`] from the factor
-/// scopes, then replays it with [`eliminate_in_order`] — exactly what a
-/// compiled query plan does with its recorded order, so cached and
-/// uncached estimates are bit-identical by construction.
-pub fn eliminate_all(
+/// here — the selectivity workload always eliminates everything. It
+/// derives the [`elimination_order`] from the factor scopes and replays it
+/// with [`eliminate_in_order`]: the order a compiled query plan records
+/// and the arithmetic it replays, so plan estimates are bit-identical to
+/// this oracle.
+fn eliminate_all(
     factors: Vec<Factor>,
     elim: &[usize],
     card_of: impl Fn(usize) -> usize,
 ) -> f64 {
     let scopes: Vec<Vec<usize>> = factors.iter().map(|f| f.vars().to_vec()).collect();
     let order = elimination_order(&scopes, elim, card_of);
-    eliminate_in_order(factors.into_iter().map(Cow::Owned).collect(), &order)
-}
-
-/// Guarded [`eliminate_all`]: derives the order, then replays it under
-/// `budget` via [`try_eliminate_in_order`].
-pub fn try_eliminate_all(
-    factors: Vec<Factor>,
-    elim: &[usize],
-    card_of: impl Fn(usize) -> usize,
-    budget: InferBudget,
-) -> Result<f64, InferAbort> {
-    let scopes: Vec<Vec<usize>> = factors.iter().map(|f| f.vars().to_vec()).collect();
-    let order = elimination_order(&scopes, elim, card_of);
-    try_eliminate_in_order(factors.into_iter().map(Cow::Owned).collect(), &order, budget)
+    eliminate_in_order(factors, &order)
 }
 
 /// Derives a min-weight elimination order from factor *scopes* alone — no
@@ -290,124 +224,39 @@ pub fn elimination_order(
 /// with the *final* product fused with the marginalization
 /// ([`Factor::product_sum_out`]) so the largest intermediate is never
 /// materialized. Returns the product of the leftover scalars.
-///
-/// Borrowed (`Cow::Borrowed`) factors are only cloned if they survive to a
-/// product untouched — plan-cached factors that no evidence mask touched
-/// flow through without a per-query copy until they are consumed.
-///
-/// This is the unguarded wrapper around [`try_eliminate_in_order`] with an
-/// unlimited budget; the only abort it can see is an injected fault from
-/// the `infer.eliminate` failpoint, which it re-raises as a panic so chaos
-/// isolation layers (`catch_unwind`) still contain it.
-pub fn eliminate_in_order(factors: Vec<Cow<'_, Factor>>, order: &[usize]) -> f64 {
-    match try_eliminate_in_order(factors, order, InferBudget::unlimited()) {
-        Ok(v) => v,
-        Err(abort) => panic!("unguarded elimination aborted: {abort}"),
-    }
-}
-
-/// Projected cell count of the product of `touching` (union of scopes);
-/// saturates at `u64::MAX`.
-fn projected_cells(touching: &[Cow<'_, Factor>]) -> u64 {
-    let mut scope: Vec<(usize, u64)> = Vec::new();
-    for f in touching {
-        for (&v, &c) in f.vars().iter().zip(f.cards()) {
-            match scope.binary_search_by_key(&v, |&(sv, _)| sv) {
-                Ok(_) => {}
-                Err(at) => scope.insert(at, (v, c as u64)),
-            }
-        }
-    }
-    scope.iter().fold(1u64, |acc, &(_, c)| acc.saturating_mul(c))
-}
-
-/// Guarded replay of a fixed elimination order — identical arithmetic to
-/// [`eliminate_in_order`] (same factors, same fold order, same fused
-/// final step, so results are bit-identical), plus three pure control-flow
-/// checks per step: the `infer.eliminate` failpoint, the wall-clock
-/// deadline, and the projected width of the next intermediate factor.
-pub fn try_eliminate_in_order(
-    mut factors: Vec<Cow<'_, Factor>>,
-    order: &[usize],
-    budget: InferBudget,
-) -> Result<f64, InferAbort> {
-    failpoint::fail_point!("infer.eliminate")
-        .map_err(|e| InferAbort::Fault(e.to_string()))?;
+fn eliminate_in_order(mut factors: Vec<Factor>, order: &[usize]) -> f64 {
     for &var in order {
         let (touching, rest): (Vec<_>, Vec<_>) =
             factors.into_iter().partition(|f| f.contains_var(var));
         factors = rest;
-        if touching.is_empty() {
-            continue;
-        }
-        if let Some(deadline) = budget.deadline {
-            if Instant::now() >= deadline {
-                return Err(InferAbort::Deadline);
-            }
-        }
-        if let Some(max) = budget.max_cells {
-            let cells = projected_cells(&touching);
-            if cells > max {
-                return Err(InferAbort::Width { var, cells, budget: max });
-            }
-        }
-        // Flight-recorder gate: one relaxed atomic load when recording is
-        // off; the step record (scope copy) is only built when a live
-        // trace wants it.
-        let flight_t0 = obs::flight::active().then(obs::flight::now_ns);
-        let start = std::time::Instant::now();
         let n = touching.len();
         let mut iter = touching.into_iter();
-        let mut acc = iter.next().expect("at least one factor");
+        let Some(mut acc) = iter.next() else { continue };
         let summed = if n == 1 {
             acc.sum_out(var)
         } else {
             // Left-fold all but the last product; fuse the last with the
             // marginalization (bit-identical to product-then-sum_out).
             for _ in 0..n - 2 {
-                acc = Cow::Owned(acc.product(&iter.next().expect("n - 2 more factors")));
+                acc = acc.product(&iter.next().expect("n - 2 more factors"));
             }
             acc.product_sum_out(&iter.next().expect("last factor"), var)
         };
-        let elapsed = start.elapsed();
-        if let Some(t0) = flight_t0 {
-            obs::flight::elim_step(
-                var,
-                n,
-                summed.vars(),
-                summed.len() as u64,
-                t0,
-                elapsed.as_nanos().min(u64::MAX as u128) as u64,
-            );
-        }
-        factors.push(Cow::Owned(summed));
-        // One elimination ≈ one message in the clique-tree reading of VE.
-        obs::counter!("bn.infer.messages").inc();
-        obs::histogram!("bn.factor.kernel.ns").record_duration(elapsed);
+        factors.push(summed);
     }
-    Ok(factors
+    factors
         .into_iter()
         .map(|f| {
             debug_assert!(f.is_empty(), "variable left uneliminated");
             f.scalar_value()
         })
-        .product())
+        .product()
 }
 
 #[cfg(test)]
-pub(crate) mod tests {
+mod tests {
     use super::*;
     use crate::cpd::TableCpd;
-    use std::sync::{PoisonError, RwLock, RwLockReadGuard};
-
-    /// The `infer.eliminate` site is process-global: the test that arms it
-    /// holds this lock exclusively, and every test that runs elimination
-    /// holds it shared, so no sibling sees the injected fault.
-    static ELIMINATE_SITE: RwLock<()> = RwLock::new(());
-
-    pub(crate) fn eliminate_site_shared() -> RwLockReadGuard<'static, ()> {
-        ELIMINATE_SITE.read().unwrap_or_else(PoisonError::into_inner)
-    }
 
     /// The Education → Income → Home-owner chain from §2.1 of the paper,
     /// with the exact numbers of Fig. 1(b).
@@ -436,7 +285,6 @@ pub(crate) mod tests {
 
     #[test]
     fn reproduces_paper_joint_entries() {
-        let _site = eliminate_site_shared();
         let bn = paper_chain();
         // P(E=h, I=l, H=f) = 0.5·0.6·0.9 = 0.27 (first row of Fig. 1(a)).
         let mut ev = Evidence::new();
@@ -450,7 +298,6 @@ pub(crate) mod tests {
 
     #[test]
     fn marginals_match_paper_histograms() {
-        let _site = eliminate_site_shared();
         let bn = paper_chain();
         // P(I=l) = 0.47, P(H=t) = 0.344 (Fig. 1(c)).
         let mut ev = Evidence::new();
@@ -463,7 +310,6 @@ pub(crate) mod tests {
 
     #[test]
     fn set_evidence_answers_range_style_queries() {
-        let _site = eliminate_site_shared();
         let bn = paper_chain();
         // P(I ∈ {m, h}) = 1 − 0.47 = 0.53.
         let mut ev = Evidence::new();
@@ -473,14 +319,12 @@ pub(crate) mod tests {
 
     #[test]
     fn empty_evidence_is_one() {
-        let _site = eliminate_site_shared();
         let bn = paper_chain();
         assert_eq!(probability_of_evidence(&bn, &Evidence::new()), 1.0);
     }
 
     #[test]
     fn contradictory_evidence_is_zero() {
-        let _site = eliminate_site_shared();
         let bn = paper_chain();
         let mut ev = Evidence::new();
         ev.eq(1, 0, 3).eq(1, 1, 3); // I = l AND I = m
@@ -489,7 +333,6 @@ pub(crate) mod tests {
 
     #[test]
     fn ve_matches_full_joint_enumeration() {
-        let _site = eliminate_site_shared();
         let bn = paper_chain();
         let joint = bn.factors().into_iter().reduce(|a, b| a.product(&b)).unwrap();
         // Check every single-var and pairwise evidence combination.
@@ -509,95 +352,7 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn guarded_and_unguarded_elimination_are_bit_identical() {
-        let _site = eliminate_site_shared();
-        let bn = paper_chain();
-        let mut ev = Evidence::new();
-        ev.eq(2, 1, 2);
-        let (factors, relevant) = reduced_relevant_factors(&bn, &ev);
-        let elim: Vec<usize> = (0..bn.len()).filter(|&v| relevant[v]).collect();
-        let scopes: Vec<Vec<usize>> = factors.iter().map(|f| f.vars().to_vec()).collect();
-        let order = elimination_order(&scopes, &elim, |v| bn.card(v));
-        let cowed = |fs: &[Factor]| -> Vec<Cow<'_, Factor>> {
-            fs.iter().map(|f| Cow::Owned(f.clone())).collect()
-        };
-        let unguarded = eliminate_in_order(cowed(&factors), &order);
-        let guarded = try_eliminate_in_order(
-            cowed(&factors),
-            &order,
-            InferBudget { max_cells: Some(1 << 30), deadline: None },
-        )
-        .unwrap();
-        assert_eq!(unguarded.to_bits(), guarded.to_bits());
-    }
-
-    #[test]
-    fn width_budget_refuses_large_intermediates() {
-        let _site = eliminate_site_shared();
-        let bn = paper_chain();
-        let mut ev = Evidence::new();
-        ev.eq(0, 0, 3).eq(2, 0, 2);
-        let (factors, relevant) = reduced_relevant_factors(&bn, &ev);
-        let elim: Vec<usize> = (0..bn.len()).filter(|&v| relevant[v]).collect();
-        // Every intermediate in this chain has at least 2 cells.
-        let abort = try_eliminate_all(
-            factors,
-            &elim,
-            |v| bn.card(v),
-            InferBudget { max_cells: Some(1), deadline: None },
-        )
-        .unwrap_err();
-        match abort {
-            InferAbort::Width { cells, budget, .. } => {
-                assert!(cells > budget);
-                assert_eq!(budget, 1);
-            }
-            other => panic!("expected width abort, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn expired_deadline_aborts_before_work() {
-        let _site = eliminate_site_shared();
-        let bn = paper_chain();
-        let mut ev = Evidence::new();
-        ev.eq(1, 0, 3);
-        let (factors, relevant) = reduced_relevant_factors(&bn, &ev);
-        let elim: Vec<usize> = (0..bn.len()).filter(|&v| relevant[v]).collect();
-        let abort = try_eliminate_all(
-            factors,
-            &elim,
-            |v| bn.card(v),
-            InferBudget {
-                max_cells: None,
-                deadline: Some(Instant::now() - std::time::Duration::from_millis(1)),
-            },
-        )
-        .unwrap_err();
-        assert_eq!(abort, InferAbort::Deadline);
-    }
-
-    #[test]
-    fn infer_failpoint_injects_fault_abort() {
-        let _site = ELIMINATE_SITE.write().unwrap_or_else(PoisonError::into_inner);
-        failpoint::arm("infer.eliminate", failpoint::Action::Err);
-        let bn = paper_chain();
-        let mut ev = Evidence::new();
-        ev.eq(1, 0, 3);
-        let (factors, relevant) = reduced_relevant_factors(&bn, &ev);
-        let elim: Vec<usize> = (0..bn.len()).filter(|&v| relevant[v]).collect();
-        let r =
-            try_eliminate_all(factors, &elim, |v| bn.card(v), InferBudget::unlimited());
-        failpoint::disarm("infer.eliminate");
-        match r.unwrap_err() {
-            InferAbort::Fault(msg) => assert!(msg.contains("infer.eliminate"), "{msg}"),
-            other => panic!("expected fault abort, got {other:?}"),
-        }
-    }
-
-    #[test]
     fn barren_nodes_are_pruned() {
-        let _site = eliminate_site_shared();
         // Evidence only on the root: the two descendants are barren; the
         // answer must equal the root marginal regardless.
         let bn = paper_chain();

@@ -12,7 +12,9 @@
 //! * a [`BayesNet`] container with acyclicity checking,
 //! * exact inference by **variable elimination** ([`infer`]), where
 //!   evidence is a *set* of allowed values per variable so equality, `IN`,
-//!   and range predicates are all answered exactly (paper §2.3),
+//!   and range predicates are all answered exactly (paper §2.3) — the
+//!   unguarded reference that `prmsel`'s compiled query plans are checked
+//!   against bit for bit,
 //! * **maximum-likelihood learning** building blocks ([`learn`]): the
 //!   mutual-information form of the log-likelihood score (paper Eq. 5),
 //!   the MDL penalty, and tree-CPD induction. The structure search itself
@@ -57,10 +59,6 @@ pub mod varset;
 pub use cpd::{Cpd, CpdKind, TableCpd, TreeCpd};
 pub use factor::Factor;
 pub use graph::Dag;
-pub use infer::{
-    eliminate_all, eliminate_in_order, elimination_order, probability_of_evidence,
-    try_eliminate_all, try_eliminate_in_order, Evidence, InferAbort, InferBudget,
-};
+pub use infer::{elimination_order, probability_of_evidence, Evidence};
 pub use network::BayesNet;
-pub use sample::likelihood_weighting;
 pub use varset::VarSet;

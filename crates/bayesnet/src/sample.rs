@@ -39,60 +39,6 @@ pub fn sample_columns<R: Rng + ?Sized>(
     cols
 }
 
-/// Monte-Carlo estimate of `P(E)` by **likelihood weighting**: ancestral
-/// sampling where evidence variables are not sampled but *scored* — each
-/// sample contributes the product of the probabilities of the evidence
-/// values it forces.
-///
-/// Exact inference (variable elimination, junction trees) is NP-hard in
-/// the worst case (paper §2.3); this is the standard any-time fallback for
-/// networks whose tree width makes exact inference infeasible. Evidence is
-/// a mask of allowed values per variable; masked variables are sampled
-/// from their CPD *restricted* to the allowed set and weighted by the
-/// allowed mass, which generalizes classic single-value likelihood
-/// weighting to the set-valued evidence selectivity estimation needs.
-pub fn likelihood_weighting<R: Rng + ?Sized>(
-    bn: &crate::network::BayesNet,
-    evidence: &crate::infer::Evidence,
-    n_samples: usize,
-    rng: &mut R,
-) -> f64 {
-    let order = bn.topological_order();
-    let mut total_weight = 0.0;
-    let mut row = vec![0u32; bn.len()];
-    let mut parent_buf: Vec<u32> = Vec::new();
-    let mut masked: Vec<f64> = Vec::new();
-    for _ in 0..n_samples {
-        let mut weight = 1.0f64;
-        for &v in &order {
-            let cpd = bn.cpd(v).expect("network is incomplete");
-            parent_buf.clear();
-            parent_buf.extend(bn.parents(v).iter().map(|&p| row[p]));
-            let dist = cpd.dist(&parent_buf);
-            match evidence.mask_of(v) {
-                None => {
-                    row[v] = sample_categorical(dist, rng);
-                }
-                Some(mask) => {
-                    // Weight by the allowed mass, then sample within it.
-                    masked.clear();
-                    masked.extend(
-                        dist.iter().zip(mask).map(|(&p, &ok)| if ok { p } else { 0.0 }),
-                    );
-                    let mass: f64 = masked.iter().sum();
-                    weight *= mass;
-                    if mass <= 0.0 {
-                        break; // This sample contributes zero.
-                    }
-                    row[v] = sample_categorical(&masked, rng);
-                }
-            }
-        }
-        total_weight += weight;
-    }
-    total_weight / n_samples.max(1) as f64
-}
-
 /// Samples an index from an unnormalized non-negative weight vector.
 pub fn sample_categorical<R: Rng + ?Sized>(weights: &[f64], rng: &mut R) -> u32 {
     let total: f64 = weights.iter().sum();
@@ -149,47 +95,6 @@ mod tests {
             }
         }
         assert!((both / a1 - 0.9).abs() < 0.03);
-    }
-
-    #[test]
-    fn likelihood_weighting_converges_to_exact() {
-        use crate::infer::{probability_of_evidence, Evidence};
-        let _site = crate::infer::tests::eliminate_site_shared();
-        let bn = chain();
-        let mut ev = Evidence::new();
-        ev.eq(1, 1, 2); // P(B=1) = 0.22
-        let exact = probability_of_evidence(&bn, &ev);
-        let mut rng = StdRng::seed_from_u64(11);
-        let approx = likelihood_weighting(&bn, &ev, 50_000, &mut rng);
-        assert!((approx - exact).abs() < 0.01, "approx={approx} exact={exact}");
-    }
-
-    #[test]
-    fn likelihood_weighting_handles_set_evidence() {
-        use crate::infer::{probability_of_evidence, Evidence};
-        let _site = crate::infer::tests::eliminate_site_shared();
-        let bn = chain();
-        let mut ev = Evidence::new();
-        ev.isin(0, &[0, 1], 2); // no restriction at all → P = 1
-        let mut rng = StdRng::seed_from_u64(3);
-        let approx = likelihood_weighting(&bn, &ev, 2_000, &mut rng);
-        assert!((approx - 1.0).abs() < 1e-9);
-        // And joint evidence on both variables.
-        let mut ev = Evidence::new();
-        ev.eq(0, 1, 2).eq(1, 1, 2);
-        let exact = probability_of_evidence(&bn, &ev);
-        let approx = likelihood_weighting(&bn, &ev, 50_000, &mut rng);
-        assert!((approx - exact).abs() < 0.01, "approx={approx} exact={exact}");
-    }
-
-    #[test]
-    fn likelihood_weighting_of_impossible_evidence_is_zero() {
-        use crate::infer::Evidence;
-        let bn = chain();
-        let mut ev = Evidence::new();
-        ev.isin(0, &[], 2); // empty allowed set
-        let mut rng = StdRng::seed_from_u64(5);
-        assert_eq!(likelihood_weighting(&bn, &ev, 100, &mut rng), 0.0);
     }
 
     #[test]

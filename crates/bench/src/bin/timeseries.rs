@@ -180,11 +180,9 @@ fn main() -> reldb::Result<()> {
     obs::watchdog::set_slo_qerror(Some(20.0));
     let spike_suite = workloads::single_table_eq_suite(&db, "census", &["income"])?;
     let spike_queries = spike_suite.queries;
-    // A fresh estimator: phase 1 primed `est`'s plan cache, and the warm
-    // replay path compiles nothing, so an armed `infer.eliminate` would
-    // never fire. Cold caches force every pass through compilation.
-    let est2 = PrmEstimator::build(&db, &PrmLearnConfig::default())?;
-    let resilient = prmsel::ResilientEstimator::new(est2);
+    // The warm estimator from phase 1 serves the spike too: an armed
+    // `infer.eliminate` fires on every estimate, memo hits included.
+    let resilient = prmsel::ResilientEstimator::new(est);
     prmsel::evaluate_suite(&db, &resilient, &spike_queries)?; // healthy window(s)
     std::thread::sleep(Duration::from_millis(250));
     assert!(

@@ -192,27 +192,6 @@ impl From<failpoint::Injected> for Error {
     }
 }
 
-/// Budget aborts from the inference kernel (which cannot depend on this
-/// crate) carry their guard kind across the boundary.
-impl From<bayesnet::InferAbort> for Error {
-    fn from(a: bayesnet::InferAbort) -> Error {
-        match a {
-            bayesnet::InferAbort::Width { var, cells, budget } => Error::Budget {
-                kind: BudgetKind::Width,
-                detail: format!(
-                    "eliminating node {var} would materialize {cells} cells \
-                     (budget {budget}, PRMSEL_WIDTH_BUDGET)"
-                ),
-            },
-            bayesnet::InferAbort::Deadline => Error::Budget {
-                kind: BudgetKind::Deadline,
-                detail: "estimate deadline passed (PRMSEL_DEADLINE_MS)".to_owned(),
-            },
-            bayesnet::InferAbort::Fault(msg) => Error::Internal(msg),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

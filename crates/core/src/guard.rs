@@ -18,8 +18,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
-use bayesnet::InferBudget;
-
 /// Sentinel for "no override in effect — follow the environment".
 const UNSET: u64 = u64::MAX;
 
@@ -67,10 +65,19 @@ pub fn set_deadline_ms(ms: Option<u64>) {
     DEADLINE_OVERRIDE.store(ms.map_or(UNSET, |m| m.min(UNSET - 1)), Ordering::Relaxed);
 }
 
+/// Resource limits for one estimate; `None` means no limit.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Budget {
+    /// Maximum cells any intermediate factor may hold.
+    pub(crate) max_cells: Option<u64>,
+    /// Absolute wall-clock deadline for the estimate.
+    pub(crate) deadline: Option<Instant>,
+}
+
 /// The budget for one estimate, with the deadline anchored at *now*.
 /// Costs two relaxed loads when both knobs are unset.
-pub fn estimate_budget() -> InferBudget {
-    InferBudget {
+pub(crate) fn estimate_budget() -> Budget {
+    Budget {
         max_cells: width_budget(),
         deadline: deadline_ms().map(|ms| Instant::now() + Duration::from_millis(ms)),
     }

@@ -89,8 +89,8 @@ pub use delta::{DeltaRow, DeltaState, TableDelta, UpdateBatch};
 pub use error::{BudgetKind, Error, ErrorClass, Result};
 pub use estimator::{
     estimate_batch, estimate_batch_with_threshold, query_label, AviAdapter,
-    InferenceEngine, JoinSampleAdapter, MhistAdapter, ModelEpoch, PrmEstimator,
-    SampleAdapter, SelectivityEstimator, WaveletAdapter, DEFAULT_PAR_THRESHOLD_NS,
+    JoinSampleAdapter, MhistAdapter, ModelEpoch, PrmEstimator, SampleAdapter,
+    SelectivityEstimator, WaveletAdapter, DEFAULT_PAR_THRESHOLD_NS,
 };
 pub use groupby::GroupEstimate;
 pub use largedomain::{discretize_database, DiscretizedDatabase, DiscretizingEstimator};

@@ -58,7 +58,7 @@
 //! entries without touching scopes, so pre-reducing the fixed join
 //! evidence at compile time commutes bitwise with the per-query predicate
 //! reduction; the recorded elimination order is the same deterministic
-//! function of the (reduction-invariant) scopes the fallback path derives;
+//! function of the (reduction-invariant) scopes the oracle derives;
 //! and the replay program runs the run-aware `bayesnet::factor` kernels,
 //! which perform each cell's multiplications and ascending-order additions
 //! exactly as the `Factor` methods do (skipping only `+0.0` terms).
@@ -79,10 +79,10 @@ use bayesnet::factor::{
     product_masked_into, product_sum_out_masked_into, strides_in, sum_out_masked_into,
     DENSE,
 };
-use bayesnet::{elimination_order, Factor, InferAbort};
+use bayesnet::{elimination_order, Factor};
 use reldb::{Join, Pred, Query};
 
-use crate::error::Result;
+use crate::error::{BudgetKind, Error, Result};
 use crate::prm::Prm;
 use crate::qebn::{NodeSource, QueryEvalBn};
 use crate::schema::SchemaInfo;
@@ -809,7 +809,7 @@ struct Step {
     n_factors: usize,
     /// Projected cells of the full product (union scope incl. `var`),
     /// saturating — checked against the width budget before any kernel
-    /// runs, exactly like the interpreted path.
+    /// runs.
     cells: u64,
     /// Scope of the step's result (for `obs::flight::elim_step`).
     result_vars: Vec<usize>,
@@ -837,8 +837,8 @@ pub struct QueryPlan {
     tmp_off: usize,
     /// Precompiled elimination replay. Steps keep their budget metadata
     /// even when constant folding emptied their op list, so width and
-    /// deadline checks fire for every eliminated variable exactly as the
-    /// interpreted path's would.
+    /// deadline checks fire for every eliminated variable, whether its
+    /// ops were folded, replayed or skipped by a memo hit.
     steps: Vec<Step>,
     /// Outputs of constant-folded ops, indexed by the arena offsets the
     /// replay would have used (`Src::Const` regions; the rest is unused
@@ -888,7 +888,7 @@ impl QueryPlan {
         query: &Query,
         folds: Option<&FoldCache>,
     ) -> Result<QueryPlan> {
-        failpoint::fail_point!("plan.compile").map_err(crate::error::Error::from)?;
+        failpoint::fail_point!("plan.compile").map_err(Error::from)?;
         let qebn = QueryEvalBn::build(prm, schema, query)?;
         let n = qebn.bn.len();
         let mut factors = Vec::with_capacity(n);
@@ -944,10 +944,11 @@ impl QueryPlan {
         let bools_len = tmp_off + pred_slots.iter().map(|s| s.card).max().unwrap_or(0);
 
         // Lower the recorded order into the replay program by simulating
-        // `try_eliminate_in_order` over scopes: same partition, same
-        // left-fold of products with the final one fused into the
-        // marginalization, same residual order — so the runtime performs
-        // the identical arithmetic with zero per-query bookkeeping.
+        // the oracle's elimination loop (`bayesnet::infer`) over scopes:
+        // same partition, same left-fold of products with the final one
+        // fused into the marginalization, same residual order — so the
+        // runtime performs the identical arithmetic with zero per-query
+        // bookkeeping.
         //
         // Each simulated slot tracks which of its scope variables are
         // *pinned* by a predicate mask. Every op lowers to a run-aware
@@ -1296,28 +1297,33 @@ impl QueryPlan {
 
         // --- eliminate: replay the precompiled program ----------------
         let eliminate = obs::flight::phase("eliminate");
-        // Same failpoint, budget checks, counters, and flight records as
-        // the interpreted `try_eliminate_in_order` — the program only
-        // precomputes what that function derived per call. Budget checks
+        // The `infer.eliminate` failpoint and the width and deadline
+        // guards run on every estimate, memo hits included. Budget checks
         // cover every step (even constant-folded or memo-skipped ones) so
         // a budget tightened after compilation still refuses the same
-        // queries with the same error the interpreted path raises.
-        failpoint::fail_point!("infer.eliminate").map_err(crate::error::Error::from)?;
+        // queries with the same error, whatever the signature.
+        failpoint::fail_point!("infer.eliminate").map_err(Error::from)?;
         let budget = crate::guard::estimate_budget();
         for step in &self.steps {
             if let Some(deadline) = budget.deadline {
                 if std::time::Instant::now() >= deadline {
-                    return Err(InferAbort::Deadline.into());
+                    return Err(Error::Budget {
+                        kind: BudgetKind::Deadline,
+                        detail: "estimate deadline passed (PRMSEL_DEADLINE_MS)"
+                            .to_owned(),
+                    });
                 }
             }
             if let Some(max) = budget.max_cells {
                 if step.cells > max {
-                    return Err(InferAbort::Width {
-                        var: step.var,
-                        cells: step.cells,
-                        budget: max,
-                    }
-                    .into());
+                    return Err(Error::Budget {
+                        kind: BudgetKind::Width,
+                        detail: format!(
+                            "eliminating node {} would materialize {} cells \
+                             (budget {max}, PRMSEL_WIDTH_BUDGET)",
+                            step.var, step.cells
+                        ),
+                    });
                 }
             }
             if memo_p.is_some() || step.ops.is_empty() {
@@ -1416,9 +1422,9 @@ impl QueryPlan {
     }
 }
 
-/// Replicates `bayesnet::infer`'s projected width: cells of the product
-/// of all touching scopes (union incl. the eliminated variable),
-/// saturating at `u64::MAX`.
+/// Projected width of one elimination step: cells of the product of all
+/// touching scopes (union incl. the eliminated variable), saturating at
+/// `u64::MAX`.
 fn projected_cells_of<S>(
     touching: &[S],
     parts: impl Fn(&S) -> (&Vec<usize>, &Vec<usize>),

@@ -85,24 +85,7 @@ impl QueryEvalBn {
 
     /// The selectivity estimate `Π |T_v| · P(E)`.
     pub fn estimated_size(&self, prm: &Prm) -> f64 {
-        let p = probability_of_evidence(&self.bn, &self.evidence);
-        self.scale(prm, p)
-    }
-
-    /// Approximate variant: `P(E)` by likelihood weighting instead of
-    /// exact inference — the any-time fallback for unrolled networks whose
-    /// tree width makes exact inference expensive (paper §2.3 notes the
-    /// worst case is NP-hard).
-    pub fn estimated_size_approx(&self, prm: &Prm, samples: usize, seed: u64) -> f64 {
-        use rand::SeedableRng;
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let p =
-            bayesnet::likelihood_weighting(&self.bn, &self.evidence, samples, &mut rng);
-        self.scale(prm, p)
-    }
-
-    fn scale(&self, prm: &Prm, p: f64) -> f64 {
-        let mut size = p;
+        let mut size = probability_of_evidence(&self.bn, &self.evidence);
         for &t in &self.closure_tables {
             size *= prm.tables[t].n_rows as f64;
         }

@@ -138,11 +138,6 @@ impl ResilientEstimator {
         &self.prm
     }
 
-    /// Mutable access to the wrapped estimator (model replacement).
-    pub fn inner_mut(&mut self) -> &mut PrmEstimator {
-        &mut self.prm
-    }
-
     /// Runs one query down the ladder. Never panics; always returns an
     /// [`Outcome`].
     pub fn estimate_query(&self, query: &Query) -> Outcome {

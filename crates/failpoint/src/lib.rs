@@ -21,8 +21,10 @@
 //! timeout testing.
 //!
 //! The workspace's canonical sites are `persist.load`, `plan.compile`,
-//! `infer.eliminate`, `estimate.query`, and `csv.row` (see each crate for
-//! the exact placement).
+//! `infer.eliminate`, `estimate.query`, `csv.row`, `maintain.apply`,
+//! `maintain.refit`, and `maintain.swap` (see each crate for the exact
+//! placement; `scripts/check_failpoint_sites.sh` keeps this list in
+//! step with the code).
 //!
 //! ## Example
 //!

@@ -296,11 +296,6 @@ pub fn observe_panic() {
     crate::gauge!("obs.watchdog.critical").set(1.0);
 }
 
-/// Current per-template q-error EWMAs, `(template, ewma)`.
-pub fn template_ewma() -> Vec<(String, f64)> {
-    state().ewma.clone()
-}
-
 /// Raises (or refreshes) an alert for `metric` immediately, outside the
 /// windowed evaluation — the control-plane entry point (e.g. a failed
 /// maintenance cycle). Custom metrics are never in the sampler's judged

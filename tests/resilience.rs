@@ -258,3 +258,43 @@ fn delay_failpoint_only_slows_the_exact_path() {
         assert!(outcome.result.is_ok());
     });
 }
+
+#[test]
+fn guards_run_on_memo_hits() {
+    with_chaos(|| {
+        let est = ladder();
+        let mut b = Query::builder();
+        let c = b.var("contact");
+        let p = b.var("patient");
+        b.join(c, "patient", p).eq(p, "age", 1);
+        let q = b.build();
+        let unguarded = est.inner().estimate(&q).unwrap();
+        assert_eq!(est.inner().reduce_memo_len(&q), Some(1));
+
+        // Limits that never bind leave the warm answer's bits alone.
+        prmsel::guard::set_width_budget(Some(u64::MAX - 1));
+        prmsel::guard::set_deadline_ms(Some(60_000));
+        let outcome = est.estimate_query(&q);
+        assert_eq!(outcome.rung, Rung::CachedExact);
+        assert_eq!(outcome.result.unwrap().to_bits(), unguarded.to_bits());
+
+        // The memoized signature is still refused by a one-cell budget.
+        prmsel::guard::set_width_budget(Some(1));
+        let outcome = est.estimate_query(&q);
+        assert!(outcome.result.is_ok());
+        assert!(matches!(
+            outcome.degradations[0],
+            (Rung::CachedExact, Error::Budget { kind: BudgetKind::Width, .. })
+        ));
+        prmsel::guard::set_width_budget(None);
+        prmsel::guard::set_deadline_ms(None);
+
+        // ...and by an armed `infer.eliminate`.
+        failpoint::arm("infer.eliminate", failpoint::Action::Err);
+        let outcome = est.estimate_query(&q);
+        assert!(outcome.result.is_ok());
+        assert_eq!(outcome.degradations[0].0, Rung::CachedExact);
+        assert_eq!(outcome.degradations[0].1.class(), ErrorClass::Internal);
+        assert_eq!(est.inner().reduce_memo_len(&q), Some(1));
+    });
+}
